@@ -8,6 +8,7 @@ package rta_test
 // a reduced set count so the whole suite stays minutes, not hours.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -134,7 +135,7 @@ func BenchmarkAblationHorizon(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := spp.Analyze(d.WithScheduler(model.SPP))
+					res, err := spp.AnalyzeWith(context.Background(), d.WithScheduler(model.SPP), 1, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -199,7 +200,7 @@ func BenchmarkExactAnalysis(b *testing.B) {
 	sys := d.WithScheduler(model.SPP)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := spp.Analyze(sys); err != nil {
+		if _, err := spp.AnalyzeWith(context.Background(), sys, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +306,7 @@ func BenchmarkExtensionSyncProtocols(b *testing.B) {
 				b.Fatal(err)
 			}
 			ds := d.WithScheduler(model.SPP)
-			dsRes, err := spp.Analyze(ds)
+			dsRes, err := spp.AnalyzeWith(context.Background(), ds, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -335,7 +336,7 @@ func BenchmarkExtensionSyncProtocols(b *testing.B) {
 				rg.Jobs[k].Sync = model.ReleaseGuard
 				rg.Jobs[k].Period = d.Period[k]
 			}
-			rgRes, err := spp.Analyze(rg)
+			rgRes, err := spp.AnalyzeWith(context.Background(), rg, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -349,7 +350,7 @@ func BenchmarkExtensionSyncProtocols(b *testing.B) {
 				}
 			}
 			if usable {
-				pmRes, err := spp.Analyze(pm)
+				pmRes, err := spp.AnalyzeWith(context.Background(), pm, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -402,7 +403,7 @@ func benchCPAComparison(b *testing.B, util float64) {
 				b.Fatal(err)
 			}
 			sys := d.WithScheduler(model.SPP)
-			exact, err := spp.Analyze(sys)
+			exact, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -476,7 +477,7 @@ func BenchmarkExtensionPrioritySynthesis(b *testing.B) {
 				b.Fatal(err)
 			}
 			sys := d.WithScheduler(model.SPP)
-			res, err := spp.Analyze(sys)
+			res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -485,7 +486,7 @@ func BenchmarkExtensionPrioritySynthesis(b *testing.B) {
 			}
 			synth := sys.Clone()
 			ok, err := priority.Audsley(synth, func(s *model.System, job int) (bool, error) {
-				r, err := spp.Analyze(s)
+				r, err := spp.AnalyzeWith(context.Background(), s, 1, nil)
 				if err != nil {
 					return false, err
 				}

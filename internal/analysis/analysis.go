@@ -32,7 +32,6 @@ import (
 	"rta/internal/curve"
 	"rta/internal/fault"
 	"rta/internal/model"
-	"rta/internal/par"
 	"rta/internal/sched"
 	"rta/internal/spp"
 )
@@ -115,15 +114,14 @@ func (r *Result) SchedulableTight(sys *model.System) bool {
 // Options tune how an analysis executes without changing what it
 // computes.
 type Options struct {
-	// Workers bounds the worker pool of the level-parallel engines: the
-	// subjobs of one dependency level touch disjoint state and are
-	// evaluated concurrently by up to Workers goroutines. Results are
-	// field-identical for every worker count (see run). Zero or one
-	// selects the serial sweep; negative selects GOMAXPROCS.
+	// Workers bounds the worker pool of the acyclic engines: subjobs whose
+	// prerequisites are done touch disjoint state and are evaluated
+	// concurrently by up to Workers goroutines. Results are field-identical
+	// for every worker count (see resident.sweep). Zero or one selects the
+	// serial sweep; negative selects GOMAXPROCS.
 	Workers int
 	// Context cancels the analysis: cancellation is observed between
-	// subjob evaluations (within one dependency-level barrier for the
-	// parallel engines), in-flight evaluations drain, and the entry point
+	// subjob evaluations, in-flight evaluations drain, and the entry point
 	// returns an error wrapping ctx.Err(). Nil means context.Background.
 	Context context.Context
 	// Budget bounds the resources one analysis may consume; the zero
@@ -212,29 +210,21 @@ func AnalyzeOpts(sys *model.System, opts Options) (*Result, error) {
 // Exact runs the Section 4.1 analysis (all-SPP systems only).
 func Exact(sys *model.System) (*Result, error) { return ExactOpts(sys, Options{}) }
 
-// ExactOpts is Exact with execution options.
+// ExactOpts is Exact with execution options. Its refusals keep the exact
+// engine's wording: spp.ErrNotSPP, spp.ErrResources and "spp: "-prefixed
+// validation errors, exactly as spp.AnalyzeWith reports them.
 func ExactOpts(sys *model.System, opts Options) (res *Result, err error) {
 	defer fault.Boundary("analysis.Exact", &err)
-	er, sppErr := spp.AnalyzeWith(opts.ctx(), sys, opts.workers(), opts.limiter())
-	if sppErr != nil && er == nil {
-		if errors.Is(sppErr, spp.ErrCyclic) {
-			return nil, ErrCyclic
-		}
-		return nil, sppErr
+	switch err := sys.Validate(); {
+	case err != nil:
+		return nil, fmt.Errorf("spp: %w", err)
+	case !sched.ExactAll(sys):
+		return nil, spp.ErrNotSPP
+	case sys.HasResources():
+		return nil, spp.ErrResources
 	}
-	res = &Result{
-		Method:  "SPP/Exact",
-		WCRT:    append([]model.Ticks(nil), er.WCRT...),
-		WCRTSum: append([]model.Ticks(nil), er.WCRT...),
-		Exact:   er,
-	}
-	if sppErr != nil {
-		// Budget-truncated partial result: completed jobs keep their exact
-		// bounds, the rest already report curve.Inf.
-		res.Method = "SPP/Exact(budget)"
-		return res, sppErr
-	}
-	return res, nil
+	rv, err := analyzeCold(sys, modeExact, opts)
+	return rv.res, err
 }
 
 // Approximate runs the Theorem 4 pipeline on a system with any mix of
@@ -249,25 +239,8 @@ func ApproximateOpts(sys *model.System, opts Options) (res *Result, err error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	var st *state
-	be := catchBudget(func() {
-		st = newState(sys, opts.limiter())
-		err = st.run(opts.ctx(), opts.workers())
-	})
-	if be != nil {
-		// Partial result: jobs with an uncomputed hop report curve.Inf
-		// (see result), the rest keep the bounds already derived.
-		if st == nil {
-			return nil, fmt.Errorf("analysis: %w", be)
-		}
-		res := st.result()
-		res.Method = "App(budget)"
-		return res, fmt.Errorf("analysis: %w", be)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return st.result(), nil
+	rv, err := analyzeCold(sys, modeApprox, opts)
+	return rv.res, err
 }
 
 // state carries the worklist computation of the approximate pipeline.
@@ -286,9 +259,9 @@ type state struct {
 	// deterministic regardless of which reader resolves them first.
 	demandLo, demandHi []*curve.Curve
 	// arrState guards the lazy arrival resolution of the acyclic engine,
-	// one word per subjob id (see ensureArrivals); nil in iterative mode,
-	// where pinIterativeStart materializes every hop's arrivals up front
-	// and re-merges them across rounds instead.
+	// one word per subjob id (see ensureArrivals), rebuilt by every sweep;
+	// nil in iterative mode, where pinIterativeStart materializes every
+	// hop's arrivals up front and re-merges them across rounds instead.
 	arrState []uint32
 	// resolveMu serializes concurrent resolvers of the same hop in the
 	// parallel engine; the value computed is identical whoever wins.
@@ -299,9 +272,10 @@ type state struct {
 	// acyclic engines never mutate arrivals, so they ignore both).
 	arrVer, demandLoVer []uint64
 	// memo shares cross-subjob intermediates (prefix interference sums,
-	// FCFS totals) between the policy evaluations of one run. Sound here
-	// because the dependency order makes every input final before any
-	// reader runs; the iterative engine must keep ServiceContext.Memo nil.
+	// FCFS totals) between the policy evaluations of one sweep (set from
+	// the resident's memo). Sound here because the dependency order makes
+	// every input final before any reader runs; the iterative engine
+	// leaves it nil.
 	memo *sched.Memo
 	// lim meters the curve breakpoints the run materializes; nil (no
 	// budget) never trips.
@@ -313,9 +287,11 @@ type state struct {
 	serviceFn func(o model.SubjobRef) (*curve.Curve, *curve.Curve)
 }
 
+// newState allocates a fresh approximate shell for sys: source hops
+// (hop 0 for chain jobs) pinned to the release traces with their demand
+// staircases published against lim, everything else zero.
 func newState(sys *model.System, lim *curve.Limiter) *state {
 	st := &state{sys: sys, topo: sys.Topology(), lim: lim}
-	st.memo = sched.NewMemo(st.topo)
 	st.initFns()
 	st.hops = make([][]Hop, len(sys.Jobs))
 	n := len(st.topo.Subjobs())
@@ -323,17 +299,13 @@ func newState(sys *model.System, lim *curve.Limiter) *state {
 	st.demandHi = make([]*curve.Curve, n)
 	st.arrVer = make([]uint64, n)
 	st.demandLoVer = make([]uint64, n)
-	st.arrState = make([]uint32, n)
-	st.resolveMu = make([]sync.Mutex, n)
 	for k := range sys.Jobs {
 		st.hops[k] = make([]Hop, len(sys.Jobs[k].Subjobs))
 		for _, j := range st.topo.Sources(k) {
 			rel := append([]model.Ticks(nil), sys.Jobs[k].Releases...)
 			st.hops[k][j].ArrEarly = rel
 			st.hops[k][j].ArrLate = rel
-			r := model.SubjobRef{Job: k, Hop: j}
-			st.publishDemand(r)
-			st.arrState[st.topo.ID(r)] = 1
+			st.publishDemand(model.SubjobRef{Job: k, Hop: j})
 		}
 	}
 	return st
@@ -347,12 +319,8 @@ func newState(sys *model.System, lim *curve.Limiter) *state {
 // (the hop's own evaluation and, on FCFS processors, its co-located
 // readers may race here): the winner computes, the rest wait on the
 // per-id mutex, and the value is a pure function of final inputs, so
-// results stay field-identical at every worker count. A no-op in
-// iterative mode (arrState nil), which manages arrivals per round.
+// results stay field-identical at every worker count.
 func (st *state) ensureArrivals(r model.SubjobRef) {
-	if st.arrState == nil {
-		return
-	}
 	id := st.topo.ID(r)
 	if atomic.LoadUint32(&st.arrState[id]) == 1 {
 		return
@@ -401,39 +369,6 @@ func (st *state) publishDemand(r model.SubjobRef) {
 	st.demandLo[id] = curve.Staircase(finiteTimes(hop.ArrLate), exec)
 	st.demandHi[id] = curve.Staircase(hop.ArrEarly, exec)
 	st.lim.Charge(st.demandLo[id], st.demandHi[id])
-}
-
-// run computes every subjob in dependency order through par.Run's
-// dependency-counter work queue: a subjob becomes ready the moment its
-// last prerequisite (Topology.Deps) finishes, with no barrier between
-// dependency levels — a slow evaluation stalls only its own downstream
-// cone, not the whole sweep. Each evaluation writes only its own
-// per-subjob state (plus the next hop's arrival bounds, which nothing
-// reads before the dependency edge fires) and reads only finished
-// prerequisites, so the computation is race-free and the results are
-// field-identical for every worker count, including the serial sweep
-// (the memoized intermediates regroup exact integer sums over unique
-// canonical curves; see sched.Memo). Total cost stays O(subjobs +
-// dependency edges) plus the curve work itself.
-//
-// Fault containment: every evaluation runs under a fault.Tag carrying the
-// subjob's coordinates, so a panic (invariant violation or budget trip)
-// surfaces with its analysis context; cancellation is observed by
-// par.Run between items and returns wrapping ctx.Err() after the
-// in-flight evaluations drain.
-func (st *state) run(ctx context.Context, workers int) error {
-	if _, acyclic := st.topo.Levels(); !acyclic {
-		return ErrCyclic
-	}
-	refs := st.topo.Subjobs()
-	err := par.Run(ctx, len(refs), st.topo.Deps, st.topo.Dependents, workers, func(id int) {
-		r := refs[id]
-		fault.Tag(r.Job, r.Hop, st.sys.Subjob(r).Proc, func() { st.computeSubjob(r) })
-	})
-	if err != nil {
-		return fmt.Errorf("analysis: %w", err)
-	}
-	return nil
 }
 
 // finiteTimes drops Inf sentinels from a latest-arrival time vector:

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestExactBacklogMatchesSimulation(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	for trial := 0; trial < 800; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestBacklogBurst(t *testing.T) {
 				Releases: []model.Ticks{5, 5, 5, 5}},
 		},
 	}
-	res, err := spp.Analyze(sys)
+	res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

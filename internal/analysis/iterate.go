@@ -195,15 +195,12 @@ sweep:
 // from any source, the chain's cumulative prefix generalized over the
 // precedence DAG; DepEarly of a hop feeds the pinned ArrEarly of its
 // successors, all pinned for the whole iteration) and late arrivals
-// started equal to the early ones. The demand caches published by
-// newState assumed the Approximate arrival bounds; non-source hops were
-// just re-pinned, so every cache except the (release-trace, hence final)
-// source hops is dropped and iterDemand* rebuilds them version-checked.
-// Arrivals are managed per round here, so the acyclic engine's one-shot
-// resolution state is disarmed.
+// started equal to the early ones. newState published only the source
+// hops' (release-trace, hence final) demand caches; iterDemand* builds the
+// rest version-checked. Arrivals are managed per round here, so the
+// acyclic sweep's one-shot resolution guards stay unset.
 func (st *state) pinIterativeStart() {
 	sys := st.sys
-	st.arrState, st.resolveMu = nil, nil
 	var scratch [1]int
 	for k := range sys.Jobs {
 		job := &sys.Jobs[k]
@@ -228,11 +225,6 @@ func (st *state) pinIterativeStart() {
 				dep[i] = t + offset[j] + job.Subjobs[j].Exec
 			}
 			st.hops[k][j].DepEarly = dep
-		}
-	}
-	for id := range st.topo.Subjobs() {
-		if len(st.topo.JobPreds(id)) > 0 {
-			st.demandLo[id], st.demandHi[id] = nil, nil
 		}
 	}
 }

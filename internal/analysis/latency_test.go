@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestExactEqualsSimulationWithLatency(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 1000; trial++ {
 		sys := randsys.New(r, latencyCfg(model.SPP))
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

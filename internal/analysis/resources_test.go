@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestExactRefusesResources(t *testing.T) {
 			}}, Releases: []model.Ticks{0}},
 		},
 	}
-	if _, err := spp.Analyze(sys); err != spp.ErrResources {
+	if _, err := spp.AnalyzeWith(context.Background(), sys, 1, nil); err != spp.ErrResources {
 		t.Fatalf("spp.Analyze err = %v, want ErrResources", err)
 	}
 	res, err := Analyze(sys)

@@ -5,11 +5,8 @@
 // assembled Result — and re-converges only the dependency cone of each
 // staged change (admit, remove, parameter mutation) instead of recomputing
 // the whole system. The results are bit-identical to a cold AnalyzeOpts of
-// the same final system at every worker count: the dirty set is closed
-// under Topology.Dependents, so every subjob outside it has transitively
-// unchanged inputs and its resident rows already hold the cold values,
-// while everything inside is recomputed from final inputs by the same
-// par-driven sweep the cold engines use.
+// the same final system at every worker count by construction: cold
+// analysis is the same sweep with every subjob seeded (see converge.go).
 package analysis
 
 import (
@@ -28,9 +25,9 @@ import (
 type Engine int
 
 const (
-	// EngineAuto mirrors AnalyzeOpts: exact when every processor's policy
-	// is exact-capable and no resources are declared, Theorem 4 otherwise;
-	// cyclic systems fail with ErrCyclic.
+	// EngineAuto picks the engine AnalyzeOpts does: exact when every
+	// processor's policy is exact-capable and no resources are declared,
+	// Theorem 4 otherwise; cyclic systems fail with ErrCyclic.
 	EngineAuto Engine = iota
 	// EngineIterative always runs the Gauss-Seidel fixed point
 	// (IterativeOpts). The iterative engine mutates its working state in
@@ -83,11 +80,13 @@ type resident struct {
 	warm bool
 	// needs reports whether res is stale w.r.t. sys.
 	needs bool
-	// st is the approximate engine's state (modeApprox).
+	// st is the approximate engine's state (modeApprox), ex the exact
+	// engine's result (modeExact).
 	st *state
-	// ex and exMemo are the exact engine's result and memo (modeExact).
-	ex     *spp.Result
-	exMemo *sched.Memo
+	ex *spp.Result
+	// memo holds the cross-subjob intermediates of either acyclic engine;
+	// a warm converge extends the anchor's (sched.Memo.Extend).
+	memo *sched.Memo
 	// res is the assembled Result for sys; aliases st/ex internals.
 	res *Result
 }
@@ -179,7 +178,7 @@ func (s *Session) beginStage() {
 	s.prevMap = identityMap(len(s.base.sys.Jobs))
 	s.clearDelta()
 	if !s.cur.warm {
-		s.cur.st, s.cur.ex, s.cur.exMemo, s.cur.res = nil, nil, nil, nil
+		s.cur.st, s.cur.ex, s.cur.memo, s.cur.res = nil, nil, nil, nil
 		return
 	}
 	switch s.cur.mode {
@@ -195,9 +194,8 @@ func (s *Session) beginStage() {
 // original), the per-job rows and cached curves are shared until a delta
 // converge re-copies the rows it rewrites. Version counters restart at
 // zero — only the iterative engine consumes them, and it never runs warm.
-// The lazy-resolution guards (arrState, resolveMu) stay nil: deltaApprox
-// rebuilds them per converge, sized to the then-current topology, marking
-// exactly the dirty non-source hops unresolved.
+// The lazy-resolution guards, memo and limiter are left to the next
+// sweep, which sets them for the then-current topology.
 func (st *state) sessionClone() *state {
 	out := &state{
 		sys:         st.sys,
@@ -207,8 +205,6 @@ func (st *state) sessionClone() *state {
 		demandHi:    append([]*curve.Curve(nil), st.demandHi...),
 		arrVer:      make([]uint64, len(st.arrVer)),
 		demandLoVer: make([]uint64, len(st.demandLoVer)),
-		memo:        st.memo,
-		lim:         st.lim,
 	}
 	out.initFns()
 	return out
@@ -413,24 +409,6 @@ func (s *Session) Remove(k int) error {
 	s.cur.topo = newTopo
 	s.cur.needs = true
 	return nil
-}
-
-// RemoveNamed stages the removal of the job with the given name and
-// reports whether it was present.
-func (s *Session) RemoveNamed(name string) bool {
-	s.mu.Lock()
-	k := -1
-	for i := range s.cur.sys.Jobs {
-		if s.cur.sys.Jobs[i].Name == name {
-			k = i
-			break
-		}
-	}
-	s.mu.Unlock()
-	if k < 0 {
-		return false
-	}
-	return s.Remove(k) == nil
 }
 
 // cutRow returns a fresh slice with element k removed (never mutating the

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"rta/internal/model"
 	"rta/internal/randsys"
 	"rta/internal/sched/tdma"
+	"rta/internal/spp"
 )
 
 // churnSystem builds a named benchsys workload; TDMA processors get slot
@@ -127,6 +129,110 @@ func TestSessionColdEquivalence(t *testing.T) {
 				s.Commit()
 			})
 		}
+	}
+
+	// Error paths. A session's cold converge — an empty session admitting
+	// the whole job set, so nothing is resident — must report the same
+	// error class, Method and (partial) bounds as the cold entry point,
+	// and NewSession over the full system the same error class. Budget
+	// rows sweep the breakpoint ceiling from starvation to abundance,
+	// crossing trips before any hop (no result), partial sweeps and
+	// completion; they run serially, where the trip point is deterministic.
+	loop := model.Job{
+		Name:     "loop",
+		Deadline: 1 << 40,
+		Releases: []model.Ticks{0, 5},
+		Subjobs: []model.Subjob{
+			{Proc: 0, Exec: 1, Priority: 100},
+			{Proc: 1, Exec: 1, Priority: 0},
+			{Proc: 0, Exec: 1, Priority: -1},
+		},
+	}
+	withLoop := func(sc model.Scheduler) *model.System {
+		sys := churnSystem(sc, 4, 2, 3, 0)
+		sys.Jobs = append(sys.Jobs, loop)
+		return sys
+	}
+	mixed := churnSystem(model.SPP, 6, 3, 4, 0)
+	mixed.Procs[0].Sched = model.FCFS
+	errClass := func(err error) error {
+		for _, c := range []error{ErrCyclic, ErrBudgetExceeded, spp.ErrNotSPP} {
+			if errors.Is(err, c) {
+				return c
+			}
+		}
+		return err
+	}
+	sessionCold := func(sys *model.System, opts Options) (*Result, error) {
+		empty := sys.Clone()
+		empty.Jobs = nil
+		s, err := NewSession(empty, SessionConfig{Opts: opts})
+		if err != nil {
+			t.Fatalf("NewSession(empty): %v", err)
+		}
+		for _, job := range sys.Jobs {
+			s.Admit(job)
+		}
+		return s.Converge()
+	}
+	for _, tc := range []struct {
+		name    string
+		sys     *model.System
+		budget  bool
+		want    error  // error class at full budget
+		partial string // Method of a budget-truncated result
+	}{
+		// Non-SPP under exact: ExactOpts refuses (checked below); the
+		// session, like AnalyzeOpts, routes the system to Theorem 4.
+		{name: "non-SPP", sys: mixed},
+		{name: "cyclic-SPP", sys: withLoop(model.SPP), want: ErrCyclic},
+		{name: "cyclic-FCFS", sys: withLoop(model.FCFS), want: ErrCyclic},
+		{name: "budget-SPP", sys: churnSystem(model.SPP, 10, 4, 6, 0), budget: true, partial: "SPP/Exact(budget)"},
+		{name: "budget-FCFS", sys: churnSystem(model.FCFS, 10, 4, 6, 0), budget: true, partial: "App(budget)"},
+	} {
+		t.Run("errors/"+tc.name, func(t *testing.T) {
+			sawPartial := false
+			for b := int64(1); ; b *= 2 {
+				opts := Options{}
+				if tc.budget {
+					opts.Budget.Breakpoints = b
+				}
+				cold, cerr := AnalyzeOpts(tc.sys, opts)
+				warm, werr := sessionCold(tc.sys, opts)
+				_, nerr := NewSession(tc.sys, SessionConfig{Opts: opts})
+				label := fmt.Sprintf("budget %d", opts.Budget.Breakpoints)
+				if c := errClass(cerr); c != errClass(werr) || c != errClass(nerr) {
+					t.Fatalf("%s: error class: cold %v, session %v, NewSession %v", label, cerr, werr, nerr)
+				}
+				if (cold == nil) != (warm == nil) {
+					t.Fatalf("%s: result presence: cold %v, session %v", label, cold != nil, warm != nil)
+				}
+				if cold != nil {
+					requireSameResult(t, label, cold, warm)
+				}
+				if !tc.budget || cerr == nil {
+					if errClass(cerr) != tc.want {
+						t.Fatalf("%s: err = %v, want %v", label, cerr, tc.want)
+					}
+					break
+				}
+				if !errors.Is(cerr, ErrBudgetExceeded) {
+					t.Fatalf("%s: err = %v, want ErrBudgetExceeded", label, cerr)
+				}
+				if cold != nil {
+					if cold.Method != tc.partial {
+						t.Fatalf("%s: Method = %q, want %q", label, cold.Method, tc.partial)
+					}
+					sawPartial = true
+				}
+			}
+			if tc.budget && !sawPartial {
+				t.Error("no budget produced a partial result")
+			}
+		})
+	}
+	if res, err := ExactOpts(mixed, Options{}); err != spp.ErrNotSPP || res != nil {
+		t.Fatalf("ExactOpts(non-SPP) = %v, %v; want nil, spp.ErrNotSPP", res, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestExactEqualsSimulationWithSyncPolicies(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 1500; trial++ {
 		sys := randsys.New(r, syncCfg(model.SPP))
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestReleaseGuardRestoresSeparation(t *testing.T) {
 		}
 	}
 	// And the exact analysis reproduces them.
-	res, err := spp.Analyze(sys)
+	res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

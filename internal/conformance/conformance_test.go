@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestSimulatedScheduleConforms(t *testing.T) {
 		cfg.MaxPostDelay = 5
 		sys := randsys.New(r, cfg)
 		// Deadlines equal to the exact bounds: nothing may be flagged.
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package cpa
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func TestDominatesMaximalTraceExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eres, err := spp.Analyze(msys)
+		eres, err := spp.AnalyzeWith(context.Background(), msys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

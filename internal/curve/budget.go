@@ -10,12 +10,13 @@ import (
 // Limiter meters the total number of curve breakpoints an analysis run
 // materializes. Engines charge every curve they construct or cache against
 // the run's limiter; once the running total crosses the ceiling, Charge
-// panics a *BudgetError, which the engine recovers at its level barrier and
-// converts into a partial result wrapped in fault.ErrBudgetExceeded.
+// panics a *BudgetError, which the engine recovers once its sweep has
+// drained and converts into a partial result wrapped in
+// fault.ErrBudgetExceeded.
 //
 // The counter is monotone — breakpoints are never refunded when a curve is
 // discarded — so the budget bounds the cumulative work of the run, not the
-// peak live memory. It is safe for concurrent use by par.Level workers. A
+// peak live memory. It is safe for concurrent use by par.Run workers. A
 // nil *Limiter is valid and never trips.
 type Limiter struct {
 	max  int64

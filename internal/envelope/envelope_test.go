@@ -1,6 +1,7 @@
 package envelope
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestCriticalInstantSPP(t *testing.T) {
 			return sys
 		}
 		worst := build([][]model.Ticks{envs[0].MaximalTrace(n), envs[1].MaximalTrace(n)})
-		bound, err := spp.Analyze(worst)
+		bound, err := spp.AnalyzeWith(context.Background(), worst, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestCriticalInstantSPP(t *testing.T) {
 				randomConsistentTrace(r, envs[0], n),
 				randomConsistentTrace(r, envs[1], n),
 			}
-			res, err := spp.Analyze(build(tr))
+			res, err := spp.AnalyzeWith(context.Background(), build(tr), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

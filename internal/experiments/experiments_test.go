@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -359,6 +360,44 @@ func TestFigureCSVChainAsDAGIdentity(t *testing.T) {
 		}
 		if c4 != d4 {
 			t.Errorf("figure 4 CSV differs with explicit chain precedence (%d workers):\n-- chains --\n%s\n-- DAG --\n%s", workers, c4, d4)
+		}
+	}
+}
+
+// TestFigureCSVGolden regenerates the small fixed-seed Figure 3 and
+// Figure 4 sweep of TestFigureCSVWorkerIdentity and byte-compares it with
+// the committed CSVs in testdata/. The worker-identity tests compare two
+// runs of the current engines against each other; this one pins them to
+// a recorded output, so a refactor that moves every run alike still fails.
+func TestFigureCSVGolden(t *testing.T) {
+	base := workload.Default
+	base.Jobs = 4
+	opts := Options{
+		Seed:         7,
+		Sets:         10,
+		Utilizations: []float64{0.4, 0.8},
+		Workers:      1,
+	}
+	f3, err := Figure3(base, []int{1, 2}, []float64{2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f4, err := Figure4(base, []float64{6}, []float64{1, 2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file   string
+		panels []Panel
+	}{{"testdata/figure3_golden.csv", f3}, {"testdata/figure4_golden.csv", f4}} {
+		var got bytes.Buffer
+		RenderCSV(&got, c.panels)
+		want, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s differs from the regenerated CSV:\n-- want --\n%s\n-- got --\n%s", c.file, want, got.Bytes())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestForkJoinOrderingLatticeSPP(t *testing.T) {
 		sys := randsys.ForkJoin(r, cfg)
 
 		simRes := sim.Run(sys)
-		exact, err := spp.Analyze(sys)
+		exact, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

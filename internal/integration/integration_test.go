@@ -12,6 +12,7 @@
 package integration
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestOrderingLatticeSPP(t *testing.T) {
 		sys := randsys.New(r, cfg)
 
 		simRes := sim.Run(sys)
-		exact, err := spp.Analyze(sys)
+		exact, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func TestPeriodicTriangle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := spp.Analyze(sys)
+		exact, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestBacklogLattice(t *testing.T) {
 	r := rand.New(rand.NewSource(104))
 	for trial := 0; trial < 300; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		exact, err := spp.Analyze(sys)
+		exact, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,22 +5,29 @@ package par
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 )
 
-// Run executes f(id) once for every node 0..n-1 of a dependency DAG on up
-// to workers goroutines: node id becomes ready the moment every node in
-// deps(id) has completed, so independent nodes never wait for unrelated
-// stragglers the way a level barrier makes them (the subjobs of a
-// lightly-loaded processor flow through while a heavily-loaded one still
-// grinds). deps and dependents describe the same edge set from both ends
-// (dependents(id) lists the nodes that consume id's outputs); nil means no
-// edges. Run returns after every started call has finished.
+// Run executes f(id) once for every id of ids on up to workers
+// goroutines, in the dependency order of the subgraph ids induce: id
+// becomes ready the moment every node of deps(id) inside ids has
+// completed, so independent nodes never wait for unrelated stragglers the
+// way a level barrier makes them (the subjobs of a lightly-loaded
+// processor flow through while a heavily-loaded one still grinds). ids
+// must be sorted ascending and duplicate-free. deps and dependents
+// describe the same edge set from both ends (dependents(id) lists the
+// nodes that consume id's outputs); nil means no edges. Edges leaving ids
+// are dropped: the caller asserts those inputs are already final (a cold
+// sweep passes every node, a warm one the dirty dependents-closure, whose
+// external dependencies are resident converged state). Run returns after
+// every started call has finished.
 //
 // Ready nodes are dispatched lowest-id first, making the serial
-// (workers <= 1) sweep a deterministic topological order; parallel
-// schedules vary, but callers obeying the correctness contract below get
-// identical results for every worker count.
+// (workers <= 1) sweep a deterministic topological order that visits any
+// subset in the same relative order as the full graph; parallel schedules
+// vary, but callers obeying the correctness contract below get identical
+// results for every worker count.
 //
 // Fault containment at the single end barrier:
 //
@@ -47,24 +54,58 @@ import (
 // by id (plus state read exclusively by its dependents) and read only data
 // finalized by its dependencies — then the schedule is unobservable and
 // the results are identical for every worker count.
-func Run(ctx context.Context, n int, deps, dependents func(id int) []int, workers int, f func(id int)) error {
+func Run(ctx context.Context, ids []int, deps, dependents func(id int) []int, workers int, f func(id int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(ids)
 	if n == 0 {
 		return ctx.Err()
 	}
+	// The pool works on ranks (positions in ids). A prefix 0..n-1 — every
+	// node of a cold sweep — is its own rank table; any other subset is
+	// looked up by binary search. -1 marks an edge leaving the subset.
+	prefix := ids[n-1] == n-1
+	rank := func(id int) int {
+		if prefix {
+			if id < n {
+				return id
+			}
+			return -1
+		}
+		if i, ok := slices.BinarySearch(ids, id); ok {
+			return i
+		}
+		return -1
+	}
 	indeg := make([]int, n)
 	var ready minHeap
-	for id := 0; id < n; id++ {
+	for i, id := range ids {
 		if deps != nil {
-			indeg[id] = len(deps(id))
+			for _, d := range deps(id) {
+				if rank(d) >= 0 {
+					indeg[i]++
+				}
+			}
 		}
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+		if indeg[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
 	ready.init()
+	// release marks rank i done and readies the dependents it unblocks.
+	release := func(i int) {
+		if dependents == nil {
+			return
+		}
+		for _, d := range dependents(ids[i]) {
+			if j := rank(d); j >= 0 {
+				if indeg[j]--; indeg[j] == 0 {
+					ready.push(j)
+				}
+			}
+		}
+	}
 
 	if workers <= 1 || n == 1 {
 		done := 0
@@ -72,17 +113,10 @@ func Run(ctx context.Context, n int, deps, dependents func(id int) []int, worker
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			id := ready.pop()
-			f(id)
+			i := ready.pop()
+			f(ids[i])
 			done++
-			if dependents == nil {
-				continue
-			}
-			for _, d := range dependents(id) {
-				if indeg[d]--; indeg[d] == 0 {
-					ready.push(d)
-				}
-			}
+			release(i)
 		}
 		if done < n {
 			return fmt.Errorf("par: %d of %d tasks unreachable (dependency cycle)", n-done, n)
@@ -135,10 +169,10 @@ func Run(ctx context.Context, n int, deps, dependents func(id int) []int, worker
 					cond.Broadcast()
 					return
 				}
-				id := ready.pop()
+				i := ready.pop()
 				inflight++
 				mu.Unlock()
-				rec := runOne(id)
+				rec := runOne(ids[i])
 				mu.Lock()
 				inflight--
 				remaining--
@@ -147,12 +181,8 @@ func Run(ctx context.Context, n int, deps, dependents func(id int) []int, worker
 						havePanic, panicked = true, rec
 					}
 					stop = true
-				} else if !stop && dependents != nil {
-					for _, d := range dependents(id) {
-						if indeg[d]--; indeg[d] == 0 {
-							ready.push(d)
-						}
-					}
+				} else if !stop {
+					release(i)
 				}
 				cond.Broadcast()
 			}
@@ -168,57 +198,8 @@ func Run(ctx context.Context, n int, deps, dependents func(id int) []int, worker
 	return ctx.Err()
 }
 
-// RunSubset is Run restricted to an induced subgraph: f runs once for
-// every id in ids (which must be sorted ascending and duplicate-free),
-// ordered by the edges of deps/dependents that have both endpoints in the
-// subset. Edges leaving the subset are dropped — the caller asserts those
-// inputs are already final (the warm-start engines re-run only a dirty
-// dependents-closure, whose external dependencies are resident converged
-// state). Because local rank order equals global id order, the serial
-// sweep visits the subset in the same relative order as a full Run, and
-// the fault-containment contract (cancellation, panic re-raise, cycle
-// starvation) carries over unchanged.
-func RunSubset(ctx context.Context, ids []int, deps, dependents func(id int) []int, workers int, f func(id int)) error {
-	n := len(ids)
-	if n == 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		return ctx.Err()
-	}
-	local := make(map[int]int, n)
-	for i, id := range ids {
-		local[id] = i
-	}
-	filter := func(edges func(id int) []int) func(i int) []int {
-		if edges == nil {
-			return nil
-		}
-		filtered := make([][]int, n)
-		for i, id := range ids {
-			for _, e := range edges(id) {
-				if j, ok := local[e]; ok {
-					filtered[i] = append(filtered[i], j)
-				}
-			}
-		}
-		return func(i int) []int { return filtered[i] }
-	}
-	return Run(ctx, n, filter(deps), filter(dependents), workers, func(i int) { f(ids[i]) })
-}
-
-// Level runs f(id) for every id of one dependency level on up to workers
-// goroutines. It is a thin adapter over Run with an empty edge set — the
-// ids of one level are mutually independent by construction — kept for
-// callers that still schedule barrier to barrier. The fault-containment
-// contract (cancellation draining, first-panic re-raise, plain polling) is
-// Run's.
-func Level(ctx context.Context, ids []int, workers int, f func(id int)) error {
-	return Run(ctx, len(ids), nil, nil, workers, func(i int) { f(ids[i]) })
-}
-
-// minHeap is a binary min-heap of node ids: the pool dispatches the
-// lowest ready id first, which makes the serial sweep deterministic and
+// minHeap is a binary min-heap of node ranks: the pool dispatches the
+// lowest ready rank (hence id) first, which makes the serial sweep deterministic and
 // keeps parallel schedules close to the (job, hop) numbering.
 type minHeap []int
 

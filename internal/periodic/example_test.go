@@ -1,6 +1,7 @@
 package periodic_test
 
 import (
+	"context"
 	"fmt"
 
 	"rta/internal/model"
@@ -23,7 +24,7 @@ func Example() {
 		panic(err)
 	}
 	fmt.Println("hyperperiod:", periodic.Hyperperiod(tasks, 1<<40))
-	res, err := spp.Analyze(sys)
+	res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package periodic
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestSynchronousMatchesHolistic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestHorizonStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

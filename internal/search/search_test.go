@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestFindsNonSynchronousWorstCaseSPNP(t *testing.T) {
 func TestSearchNeverBeatsExactBoundSPP(t *testing.T) {
 	sys, envs := scenario(model.SPP)
 	sync := sys.Clone()
-	exact, err := spp.Analyze(sync)
+	exact, err := spp.AnalyzeWith(context.Background(), sync, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

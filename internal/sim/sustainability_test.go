@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestWCETBoundHoldsForChainsWithSlackArrival(t *testing.T) {
 	violations, total := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		res, err := spp.Analyze(sys)
+		res, err := spp.AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package spp
 
 import (
+	"context"
 	"testing"
 
 	"rta/internal/model"
@@ -23,7 +24,7 @@ func FuzzExactEqualsSimulation(f *testing.F) {
 		if sys == nil {
 			return
 		}
-		res, err := Analyze(sys)
+		res, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			return // cyclic recipes are out of scope for the exact method
 		}

@@ -1,6 +1,7 @@
 package spp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestShiftInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 400; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		base, err := Analyze(sys)
+		base, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +28,7 @@ func TestShiftInvariance(t *testing.T) {
 				shifted.Jobs[k].Releases[i] += shift
 			}
 		}
-		got, err := Analyze(shifted)
+		got, err := AnalyzeWith(context.Background(), shifted, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func TestScaleInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 400; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		base, err := Analyze(sys)
+		base, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestScaleInvariance(t *testing.T) {
 				scaled.Jobs[k].Subjobs[j].Exec *= c
 			}
 		}
-		got, err := Analyze(scaled)
+		got, err := AnalyzeWith(context.Background(), scaled, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestPriorityRemapInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 300; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		base, err := Analyze(sys)
+		base, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestPriorityRemapInvariance(t *testing.T) {
 				remapped.Jobs[k].Subjobs[j].Priority = 7*remapped.Jobs[k].Subjobs[j].Priority + 3
 			}
 		}
-		got, err := Analyze(remapped)
+		got, err := AnalyzeWith(context.Background(), remapped, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +138,11 @@ func TestIdleGapDecomposition(t *testing.T) {
 			}
 			doubled.Jobs[k].Releases = rel
 		}
-		base, err := Analyze(sys)
+		base, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Analyze(doubled)
+		got, err := AnalyzeWith(context.Background(), doubled, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,27 +59,17 @@ var ErrCyclic = errors.New("spp: cyclic subjob dependencies (physical or logical
 // bound-based analyses apply (see analysis.Approximate).
 var ErrResources = errors.New("spp: exact analysis does not support shared resources")
 
-// Analyze runs the exact analysis on a valid, all-SPP system.
-func Analyze(sys *model.System) (*Result, error) { return AnalyzeWorkers(sys, 1) }
-
-// AnalyzeWorkers is Analyze with a bounded worker pool: the subjob graph
-// (previous hop plus higher-priority neighbors; see model.Topology.Deps)
-// is swept by par.Run's dependency-counter work queue, each subjob
-// becoming ready the moment its last prerequisite finishes. Every subjob
-// writes only its own result rows and its next hop's arrivals (read only
-// after the dependency edge fires), and reads only finished
-// prerequisites, so the output is field-identical for every worker count.
-func AnalyzeWorkers(sys *model.System, workers int) (*Result, error) {
-	return AnalyzeWith(context.Background(), sys, workers, nil)
-}
-
-// AnalyzeWith is AnalyzeWorkers under fault containment: ctx cancels the
-// sweep between subjob evaluations (the level in flight drains first,
-// then a wrapped ctx.Err() is returned), and lim meters the curve
-// breakpoints the run materializes (nil = unlimited). When the budget
-// trips, a partial Result accompanies an error wrapping
-// fault.ErrBudgetExceeded: jobs whose last hop was fully analyzed keep
-// their exact WCRT, the rest report curve.Inf.
+// AnalyzeWith runs the exact analysis on a valid, all-SPP system: a fresh
+// NewResult shell with every subjob seeded, swept by Reanalyze. The subjob
+// graph (precedence predecessors plus higher-priority neighbors; see
+// model.Topology.Deps) is swept by par.Run's dependency-counter work
+// queue on up to workers goroutines, and the output is field-identical
+// for every worker count. ctx cancels the sweep between subjob
+// evaluations (in-flight ones drain first, then a wrapped ctx.Err() is
+// returned), and lim meters the curve breakpoints the run materializes
+// (nil = unlimited). When the budget trips, a partial Result accompanies
+// an error wrapping fault.ErrBudgetExceeded: jobs whose last hop was fully
+// analyzed keep their exact WCRT, the rest report curve.Inf.
 func AnalyzeWith(ctx context.Context, sys *model.System, workers int, lim *curve.Limiter) (_ *Result, err error) {
 	defer fault.Boundary("spp.Analyze", &err)
 	if err := sys.Validate(); err != nil {
@@ -93,12 +83,6 @@ func AnalyzeWith(ctx context.Context, sys *model.System, workers int, lim *curve
 	if sys.HasResources() {
 		return nil, ErrResources
 	}
-
-	// Dependency sweep over the subjob graph: each subjob depends on its
-	// previous hop and on the higher-priority subjobs sharing its
-	// processor (for all-SPP systems the cached topology graph contains
-	// exactly these edges). Every subjob is analyzed exactly once, the
-	// moment its prerequisites are done; a cycle starves the queue.
 	topo := sys.Topology()
 	if _, acyclic := topo.Levels(); !acyclic {
 		return nil, ErrCyclic
@@ -150,9 +134,9 @@ func NewResult(sys *model.System) *Result {
 // topology with any stale prefix entries invalidated (sched.Memo.Extend),
 // and every row a dirty subjob reads that is NOT in ids already holds its
 // converged value — then the refreshed rows are bit-identical to a cold
-// AnalyzeWith at any worker count. On a tripped breakpoint budget the rows
-// analyzed so far stay published and an error wrapping
-// fault.ErrBudgetExceeded is returned, mirroring AnalyzeWith.
+// AnalyzeWith (which is Reanalyze over every id) at any worker count. On a
+// tripped breakpoint budget the rows analyzed so far stay published and an
+// error wrapping fault.ErrBudgetExceeded is returned.
 func Reanalyze(ctx context.Context, sys *model.System, memo *sched.Memo, res *Result, ids []int, workers int, lim *curve.Limiter) error {
 	topo := sys.Topology()
 	refs := topo.Subjobs()
@@ -172,7 +156,7 @@ func Reanalyze(ctx context.Context, sys *model.System, memo *sched.Memo, res *Re
 				panic(r)
 			}
 		}()
-		return par.RunSubset(ctx, ids, topo.Deps, topo.Dependents, workers, func(id int) {
+		return par.Run(ctx, ids, topo.Deps, topo.Dependents, workers, func(id int) {
 			r := refs[id]
 			fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() {
 				analyzeSubjob(sys, topo, memo, res, lim, r)

@@ -1,6 +1,7 @@
 package spp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestExactEqualsSimulation(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3000; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		res, err := Analyze(sys)
+		res, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -61,7 +62,7 @@ func TestSingleProcessorClassic(t *testing.T) {
 				Releases: []model.Ticks{0, 5}},
 		},
 	}
-	res, err := Analyze(sys)
+	res, err := AnalyzeWith(context.Background(), sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestTwoHopPipeline(t *testing.T) {
 			}, Releases: []model.Ticks{0, 3}},
 		},
 	}
-	res, err := Analyze(sys)
+	res, err := AnalyzeWith(context.Background(), sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestBurstArrivals(t *testing.T) {
 				Releases: []model.Ticks{10, 10, 10}},
 		},
 	}
-	res, err := Analyze(sys)
+	res, err := AnalyzeWith(context.Background(), sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRejectsNonSPP(t *testing.T) {
 			{Deadline: 10, Subjobs: []model.Subjob{{Proc: 0, Exec: 1}}, Releases: []model.Ticks{0}},
 		},
 	}
-	if _, err := Analyze(sys); err != ErrNotSPP {
+	if _, err := AnalyzeWith(context.Background(), sys, 1, nil); err != ErrNotSPP {
 		t.Fatalf("err = %v, want ErrNotSPP", err)
 	}
 }
@@ -170,7 +171,7 @@ func TestDetectsCycle(t *testing.T) {
 			}, Releases: []model.Ticks{0}},
 		},
 	}
-	if _, err := Analyze(sys); err != ErrCyclic {
+	if _, err := AnalyzeWith(context.Background(), sys, 1, nil); err != ErrCyclic {
 		t.Fatalf("err = %v, want ErrCyclic", err)
 	}
 }
@@ -181,7 +182,7 @@ func TestServiceCurvesAreValid(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		sys := randsys.New(r, randsys.Default)
-		res, err := Analyze(sys)
+		res, err := AnalyzeWith(context.Background(), sys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sunliu
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestSingleStageMatchesExact(t *testing.T) {
 			continue // divergent (pessimistic) case: nothing to compare
 		}
 		msys := toModel(sys, horizon)
-		ex, err := spp.Analyze(msys)
+		ex, err := spp.AnalyzeWith(context.Background(), msys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestMultiStageDominatesExact(t *testing.T) {
 			}
 		}
 		msys := toModel(sys, horizon)
-		ex, err := spp.Analyze(msys)
+		ex, err := spp.AnalyzeWith(context.Background(), msys, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
