@@ -3,10 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rta/internal/admission"
@@ -17,236 +14,95 @@ import (
 
 // The durability glue between the server and the store.
 //
-// Ordering: each tenant's logMu is held across "commit the decision in
-// the session" and "append the operation to the WAL", so the log's
-// operation order is exactly the commit order and replay reproduces the
-// committed state. Logging happens after the commit and before the HTTP
-// acknowledgment: an operation that committed but crashed before its
-// append was never acknowledged, so recovering to the logged prefix is
-// consistent with everything any client was told.
+// Ordering: every tenant id owns one ordered queue in the store. A
+// decision commits in the session and enqueues its operation under the
+// tenant's logMu, so the queue order is the commit order and replay
+// reproduces the committed state; creates, drops and evictions enqueue
+// inside the critical section that edits the tenant map, so a drop and a
+// re-create of the same id are queued in map order. The handler then
+// releases the lock and flushes the queue through its own operation
+// before the HTTP acknowledgment: an operation that committed but
+// crashed before its flush was never acknowledged, so recovering to the
+// written prefix is consistent with everything any client was told.
 //
 // Degraded mode: a store error never fails the request — the in-memory
-// session is the source of truth and keeps serving. The unlogged
-// operation enters a FIFO outbox that a retry loop drains with capped
-// exponential backoff; while the outbox is non-empty every new operation
-// enqueues behind it (preserving per-tenant order) and /healthz reports
-// "degraded". Only a process crash while degraded loses the queued
-// suffix — and /stats has been advertising exactly that risk.
+// session is the source of truth and keeps serving. The failed entries
+// stay at the head of that tenant's queue, later operations queue behind
+// them, and the background loop retries with capped exponential backoff;
+// other tenants keep writing directly. /healthz reports "degraded" while
+// any tenant has such a backlog. Only a process crash while degraded
+// loses the queued suffix — and /stats has been advertising exactly that
+// risk.
 
-// retryMin/retryMax bound the outbox retry backoff.
+// retryMin/retryMax bound the backoff of the store retry loop.
 const (
 	retryMin = 50 * time.Millisecond
 	retryMax = 2 * time.Second
 )
 
-// persister owns the server's durable side: the store handle, the
-// degraded-mode outbox, and the retry loop.
-type persister struct {
-	st *store.Store
-
-	mu      sync.Mutex
-	queue   []queuedOp
-	backoff time.Duration
-	timer   *time.Timer
-	// draining serializes drain: the timer can fire while a previous
-	// drain is still appending (a Reset re-arms an already-fired
-	// AfterFunc), and two drains would append the head twice and both
-	// dequeue it. Only the goroutine that flips draining runs the loop.
-	draining bool
-	closed   bool
-
-	errors    atomic.Uint64 // failed store operations (appends, snapshots)
-	snapshots atomic.Uint64 // snapshots written
-	dropped   atomic.Uint64 // outbox entries abandoned as unretryable
-}
-
-type queuedOp struct {
-	id string
-	op store.Op
-}
-
-func newPersister(st *store.Store) *persister {
-	return &persister{st: st, backoff: retryMin}
-}
-
-// degraded reports whether unlogged operations are waiting in the outbox.
-func (p *persister) degraded() bool {
-	if p == nil {
-		return false
+// enqueue queues op in the tenant's log; a store refusal (a sequencing
+// or encoding error, which no retry can fix) is counted and yields seq 0.
+func (s *Server) enqueue(id string, op store.Op) (seq uint64, snapDue bool) {
+	if s.cfg.Store == nil {
+		return 0, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue) > 0
+	seq, snapDue, err := s.cfg.Store.Enqueue(id, op)
+	if err != nil {
+		s.counters.unlogged.Add(1)
+		return 0, false
+	}
+	return seq, snapDue
 }
 
-func (p *persister) pending() int {
-	if p == nil {
+// flush writes the tenant's queue through seq before the caller acks. A
+// failure leaves the tenant degraded: the store counts it and the
+// background loop retries.
+func (s *Server) flush(id string, seq uint64) {
+	if seq != 0 {
+		_ = s.cfg.Store.Flush(id, seq)
+	}
+}
+
+// logDecision enqueues a committed decision — op with the marshaled job
+// and the committed priorities — and, when one is due, a snapshot of the
+// state it leaves. The caller holds t.logMu, so the snapshot captures
+// exactly the queued prefix. It returns the seq to flush (0: none).
+func (s *Server) logDecision(id string, t *tenant, op store.Op, job *model.Job) uint64 {
+	if s.cfg.Store == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
-// log appends one committed operation, entering or extending degraded
-// mode instead of failing. The caller holds the tenant's logMu. The
-// returned snapDue asks the caller to write a snapshot now (still under
-// logMu, so the snapshot captures exactly the logged prefix).
-func (p *persister) log(id string, op store.Op) (snapDue bool) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return false
-	}
-	if len(p.queue) > 0 {
-		// Order preservation: once anything is queued, everything queues.
-		p.queue = append(p.queue, queuedOp{id, op})
-		p.mu.Unlock()
-		return false
-	}
-	p.mu.Unlock()
-
-	due, err := p.st.Append(id, op)
-	if err == nil {
-		return due
-	}
-	p.errors.Add(1)
-	if !retryable(err) {
-		p.dropped.Add(1)
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	p.queue = append(p.queue, queuedOp{id, op})
-	p.scheduleLocked(retryMin)
-	return false
-}
-
-// retryable classifies store errors: sequencing errors (unknown tenant,
-// duplicate create) can never succeed on retry and are dropped with a
-// counter; everything else is assumed to be a transient disk fault.
-func retryable(err error) bool {
-	var unk *store.ErrUnknownTenant
-	return !errors.As(err, &unk) && !errors.Is(err, store.ErrTenantExists)
-}
-
-// scheduleLocked arms the retry timer; p.mu held. While a drain is
-// active the timer stays unarmed: the drain loop re-checks the queue
-// under p.mu before exiting, so an entry enqueued meanwhile is either
-// seen by that loop or enqueued after draining dropped — in which case
-// this call arms the timer.
-func (p *persister) scheduleLocked(d time.Duration) {
-	p.backoff = d
-	if p.draining {
-		return
-	}
-	if p.timer == nil {
-		p.timer = time.AfterFunc(d, p.drain)
-	} else {
-		p.timer.Reset(d)
-	}
-}
-
-// drain retries the outbox head-first, preserving order: the head either
-// appends or doubles the backoff; later entries never jump the queue.
-// At most one drain runs at a time (the draining flag), so the head read
-// before the unlocked Append is still queue[0] at the dequeue: log()
-// only ever appends to the tail.
-func (p *persister) drain() {
-	p.mu.Lock()
-	if p.draining || p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.draining = true
-	p.mu.Unlock()
-	for {
-		p.mu.Lock()
-		if p.closed || len(p.queue) == 0 {
-			p.draining = false
-			p.mu.Unlock()
-			return
-		}
-		head := p.queue[0]
-		p.mu.Unlock()
-
-		_, err := p.st.Append(head.id, head.op)
-		if err != nil && retryable(err) {
-			p.errors.Add(1)
-			p.mu.Lock()
-			p.draining = false
-			if !p.closed {
-				p.scheduleLocked(min(p.backoff*2, retryMax))
-			}
-			p.mu.Unlock()
-			return
-		}
+	if job != nil {
+		raw, err := json.Marshal(job)
 		if err != nil {
-			// Unretryable sequencing error: drop the entry, keep draining.
-			p.errors.Add(1)
-			p.dropped.Add(1)
+			s.counters.unlogged.Add(1)
+			return 0
 		}
-		p.mu.Lock()
-		p.queue = p.queue[1:]
-		if len(p.queue) == 0 {
-			p.queue = nil
-		}
-		p.backoff = retryMin
-		p.mu.Unlock()
+		op.Job = raw
 	}
-}
-
-// close stops the retry loop. Queued entries are abandoned — by then the
-// operator has been watching store_errors and a non-empty outbox.
-func (p *persister) close() {
-	if p == nil {
-		return
+	if s.cfg.Policy != admission.KeepPriorities {
+		// KeepPriorities never moves priorities: the job records carry them.
+		op.Pri = t.ctl.Priorities()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	if p.timer != nil {
-		p.timer.Stop()
+	seq, due := s.enqueue(id, op)
+	if !due {
+		return seq
 	}
-}
-
-// snapshot assembles and writes the tenant's snapshot from its committed
-// controller state. Called under the tenant's logMu right after the
-// append that made it due, so the controller state is exactly the logged
-// prefix. Failures only count: the cadence check fires again on the next
-// append.
-func (p *persister) snapshot(id string, spec json.RawMessage, ctl *admission.Controller) {
-	sys := ctl.System()
 	var jobs []json.RawMessage
-	if sys != nil {
+	if sys := t.ctl.System(); sys != nil {
 		jobs = make([]json.RawMessage, len(sys.Jobs))
 		for k := range sys.Jobs {
-			b, err := json.Marshal(sys.Jobs[k])
+			raw, err := json.Marshal(sys.Jobs[k])
 			if err != nil {
-				p.errors.Add(1)
-				return
+				s.counters.unlogged.Add(1)
+				return seq
 			}
-			jobs[k] = b
+			jobs[k] = raw
 		}
 	}
-	if err := p.st.WriteSnapshot(id, spec, jobs); err != nil {
-		p.errors.Add(1)
-		return
+	if err := s.cfg.Store.EnqueueSnapshot(id, t.spec, jobs); err != nil {
+		s.counters.unlogged.Add(1)
 	}
-	p.snapshots.Add(1)
-}
-
-// priVector returns the committed priority assignment to log with an
-// operation, or nil when the policy never moves priorities (the job
-// records already carry them).
-func (s *Server) priVector(ctl *admission.Controller) [][]int {
-	if s.cfg.Policy == admission.KeepPriorities {
-		return nil
-	}
-	return ctl.Priorities()
+	return seq
 }
 
 // replayOpts are the execution options for startup replay: the
@@ -373,13 +229,13 @@ func (s *Server) verifyReplay(ctl *admission.Controller, opts analysis.Options) 
 // failures quarantine that tenant's directory (the framing was valid;
 // the operations do not apply) and never abort startup.
 func (s *Server) replayAll() {
-	for _, rt := range s.persist.st.Tenants() {
+	for _, rt := range s.cfg.Store.Tenants() {
 		t, err := s.replayTenant(rt)
 		if err != nil {
 			s.counters.replayQuarantines.Add(1)
 			s.recoveryNotes = append(s.recoveryNotes,
 				fmt.Sprintf("tenant %s: replay: %v (quarantined)", rt.ID, err))
-			if qerr := s.persist.st.QuarantineTenant(rt.ID); qerr != nil {
+			if qerr := s.cfg.Store.QuarantineTenant(rt.ID); qerr != nil {
 				s.recoveryNotes = append(s.recoveryNotes,
 					fmt.Sprintf("tenant %s: quarantine failed: %v", rt.ID, qerr))
 			}

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,12 +147,19 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 
 // flakyFS implements store.FS over the real filesystem but fails every
 // file write and fsync while tripped — a disk that went read-only under
-// a live server. slowUs additionally makes every successful write sleep
-// that many microseconds, widening the concurrency windows the race
-// regression tests below aim at.
+// a live server — or, with failUnder set, only those of files under that
+// directory (one tenant's bad volume). slowUs additionally makes every
+// successful write sleep that many microseconds, widening the
+// concurrency windows the race regression tests below aim at.
 type flakyFS struct {
-	fail   atomic.Bool
-	slowUs atomic.Int64
+	fail      atomic.Bool
+	failUnder atomic.Pointer[string]
+	slowUs    atomic.Int64
+}
+
+func (f *flakyFS) failing(path string) bool {
+	dir := f.failUnder.Load()
+	return f.fail.Load() || dir != nil && strings.HasPrefix(path, *dir+string(os.PathSeparator))
 }
 
 var errFlaky = errors.New("injected disk fault")
@@ -161,7 +171,7 @@ func (f *flakyFS) OpenAppend(path string) (store.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &flakyFile{f: file, fs: f}, nil
+	return &flakyFile{f: file, fs: f, path: path}, nil
 }
 
 func (f *flakyFS) Create(path string) (store.File, error) {
@@ -169,7 +179,7 @@ func (f *flakyFS) Create(path string) (store.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &flakyFile{f: file, fs: f}, nil
+	return &flakyFile{f: file, fs: f, path: path}, nil
 }
 
 func (f *flakyFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
@@ -207,12 +217,13 @@ func (f *flakyFS) IsDir(path string) bool {
 }
 
 type flakyFile struct {
-	f  *os.File
-	fs *flakyFS
+	f    *os.File
+	fs   *flakyFS
+	path string
 }
 
 func (w *flakyFile) Write(p []byte) (int, error) {
-	if w.fs.fail.Load() {
+	if w.fs.failing(w.path) {
 		return 0, errFlaky
 	}
 	if d := w.fs.slowUs.Load(); d > 0 {
@@ -222,7 +233,7 @@ func (w *flakyFile) Write(p []byte) (int, error) {
 }
 
 func (w *flakyFile) Sync() error {
-	if w.fs.fail.Load() {
+	if w.fs.failing(w.path) {
 		return errFlaky
 	}
 	return w.f.Sync()
@@ -232,7 +243,8 @@ func (w *flakyFile) Close() error { return w.f.Close() }
 
 // TestStoreFaultDegradesNotFails trips the disk under a live server: the
 // admission must still be acknowledged, /healthz must report degraded,
-// and after the disk heals the outbox must drain so a restart recovers
+// and after the disk heals the retry loop must drain the tenant's
+// backlog so a restart recovers
 // every acknowledged operation — including the one that failed its
 // first append.
 func TestStoreFaultDegradesNotFails(t *testing.T) {
@@ -270,7 +282,7 @@ func TestStoreFaultDegradesNotFails(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("outbox never drained after heal: %+v", snap.Store)
+			t.Fatalf("backlog never drained after heal: %+v", snap.Store)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -297,66 +309,90 @@ func TestStoreFaultDegradesNotFails(t *testing.T) {
 	}
 }
 
-// TestDrainSerialized: drain is what the retry timer fires, and a Reset
-// on an already-fired timer can make it fire again while a previous
-// drain is still mid-append. Concurrent drain calls must collapse to
-// one — two would append the same outbox head twice (a semantic
-// duplicate that quarantines the tenant on replay) and both dequeue it,
-// underflowing the queue.
+// TestDrainSerialized: the retry loop and live decisions flush the same
+// tenant queue concurrently over a slowed disk. Every queued op must
+// reach the log exactly once and in order — a double write is a semantic
+// duplicate that quarantines the tenant on replay — and the backlog must
+// drain fully.
 func TestDrainSerialized(t *testing.T) {
 	dir := t.TempDir()
 	fs := &flakyFS{}
-	st := openStore(t, dir, func(c *store.Config) { c.FS = fs })
-	p := newPersister(st)
-	defer p.close()
+	st := openStore(t, dir, func(c *store.Config) { c.FS = fs; c.SnapshotEvery = -1 })
+	s, ts := newTestServer(t, Config{Policy: admission.DeadlineMonotonic, Store: st})
+	createTenant(t, ts.URL, "acme")
+	h := s.Handler()
+	admit := func(body []byte) bool {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/tenants/acme/admit", bytes.NewReader(body)))
+		var adm admitResponse
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &adm) != nil {
+			t.Errorf("admit: status %d: %s", w.Code, w.Body.Bytes())
+		}
+		return adm.Admitted
+	}
 
-	if _, err := st.Append("acme", store.Op{Kind: store.OpCreate, Spec: []byte(twoProcSpec)}); err != nil {
-		t.Fatal(err)
-	}
 	fs.fail.Store(true)
-	const queued = 16
+	const queued, live = 16, 16
+	var granted atomic.Int64
 	for i := 0; i < queued; i++ {
-		p.log("acme", store.Op{Kind: store.OpAdmit, Job: jobJSON(t, fmt.Sprintf("q%d", i), 100, 10_000)})
+		if admit(jobJSON(t, fmt.Sprintf("q%d", i), 100, 10_000)) {
+			granted.Add(1)
+		}
 	}
-	if got := p.pending(); got != queued {
-		t.Fatalf("outbox depth = %d, want %d", got, queued)
+	if got, _, _ := st.Stats(); int64(got) != granted.Load() || got == 0 {
+		t.Fatalf("backlog = %d, want the %d granted admissions", got, granted.Load())
 	}
 	fs.fail.Store(false)
-	fs.slowUs.Store(2_000) // every append now takes ~2ms outside p.mu
-	// Fire drain from many goroutines at once, racing the armed retry
-	// timer: only one may run the dequeue loop. The slowed writes
-	// guarantee the drains overlap — without serialization they all read
-	// the same queue head, append it repeatedly, and dequeue past the
-	// end of the outbox.
+	fs.slowUs.Store(2_000) // every write now takes ~2ms inside the flush
+	// Retries from many goroutines race live decisions (and the server's
+	// own retry loop) for the tenant's writer: every flush must take the
+	// queue from where the previous one left it.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.drain()
+			_ = st.Retry()
 		}()
 	}
-	wg.Wait()
-	deadline := time.Now().Add(10 * time.Second)
-	for p.pending() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("outbox never drained: %d pending", p.pending())
+	bodies := make([][]byte, live)
+	for i := range bodies {
+		bodies[i] = jobJSON(t, fmt.Sprintf("l%d", i), 100, 10_000)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, body := range bodies {
+			if admit(body) {
+				granted.Add(1)
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
+	}()
+	wg.Wait()
+	if got, _, _ := st.Stats(); got != 0 {
+		t.Fatalf("backlog = %d after concurrent retries on a healthy disk, want 0", got)
 	}
-	if n := p.dropped.Load(); n != 0 {
-		t.Fatalf("%d queued ops dropped as unretryable", n)
+	if snap := getStats(t, ts.URL); snap.Store.DroppedOps != 0 {
+		t.Fatalf("%d ops dropped as unretryable", snap.Store.DroppedOps)
 	}
+	_, pre := getBounds(t, ts.URL, "acme")
+	ts.Close()
+	s.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st2 := openStore(t, dir)
 	rep := st2.Report()
 	if rep.Recovered != 1 || rep.TornTails != 0 || rep.QuarantinedSegments != 0 {
-		t.Fatalf("recovery after concurrent drains: %+v", rep)
+		t.Fatalf("recovery after concurrent retries: %+v", rep)
 	}
-	if tail := st2.Tenants()[0].Tail; len(tail) != queued+1 {
-		t.Fatalf("recovered %d ops, want %d — a concurrent drain double-appended", len(tail), queued+1)
+	if tail := st2.Tenants()[0].Tail; int64(len(tail)) != granted.Load()+1 {
+		t.Fatalf("recovered %d ops, want %d — a concurrent flush double-wrote or lost one", len(tail), granted.Load()+1)
+	}
+	s2, ts2 := newTestServer(t, Config{Policy: admission.DeadlineMonotonic, Store: st2})
+	defer s2.Close()
+	if _, post := getBounds(t, ts2.URL, "acme"); !bytes.Equal(pre, post) {
+		t.Fatalf("bounds diverged across restart:\n pre  %s\n post %s", pre, post)
 	}
 }
 
@@ -409,9 +445,9 @@ func TestDropRecreateRaceKeepsWALOrdered(t *testing.T) {
 		t.Fatalf("admit: status %d: %s", status, raw)
 	}
 	// The disk never faulted, so any dropped-unretryable op means the
-	// create/drop appends went to the store out of order.
-	if pend, drop := s.persist.pending(), s.persist.dropped.Load(); pend != 0 || drop != 0 {
-		t.Fatalf("outbox pending=%d droppedOps=%d after healthy churn, want 0/0", pend, drop)
+	// create/drop ops reached the store out of order.
+	if snap := getStats(t, ts.URL); snap.Store.Pending != 0 || snap.Store.DroppedOps != 0 {
+		t.Fatalf("pending=%d droppedOps=%d after healthy churn, want 0/0", snap.Store.Pending, snap.Store.DroppedOps)
 	}
 	_, pre := getBounds(t, ts.URL, "flip")
 
@@ -429,6 +465,169 @@ func TestDropRecreateRaceKeepsWALOrdered(t *testing.T) {
 	status, post := getBounds(t, ts2.URL, "flip")
 	if status != http.StatusOK || !bytes.Equal(pre, post) {
 		t.Fatalf("tenant lost or diverged across restart: status %d\n pre  %s\n post %s", status, pre, post)
+	}
+}
+
+// pipeBody is a request body held open on an io.Pipe. Its first Read
+// closes reading: handlers look their tenant up before they read the
+// body, so from then on the handler holds a possibly stale shard.
+type pipeBody struct {
+	*io.PipeReader
+	once    sync.Once
+	reading chan struct{}
+}
+
+func (b *pipeBody) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.reading) })
+	return b.PipeReader.Read(p)
+}
+
+// TestStaleShardDecisionNotLogged: a decision that looked its tenant up,
+// then waited on its body while the tenant was dropped and re-created,
+// holds a stale shard. It must answer 404 and log nothing: logging it
+// would put the old incarnation's decision into the new one's log, and
+// replay would no longer match the live server.
+func TestStaleShardDecisionNotLogged(t *testing.T) {
+	rm, _ := json.Marshal(removeRequest{Name: "ghost"})
+	cases := []struct {
+		op     string
+		seeded bool // "ghost" is admitted in the first incarnation
+		body   []byte
+	}{
+		{"admit", false, jobJSON(t, "ghost", 100, 10_000)},
+		{"remove", true, rm},
+		{"update", true, jobJSON(t, "ghost", 150, 10_000)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.op, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			s, ts := newTestServer(t, Config{Policy: admission.DeadlineMonotonic, Store: st})
+			createTenant(t, ts.URL, "acme")
+			if tc.seeded {
+				if status, raw := doReq(t, http.MethodPost, ts.URL+"/v1/tenants/acme/admit",
+					jobJSON(t, "ghost", 100, 10_000)); status != http.StatusOK {
+					t.Fatalf("seeding ghost: status %d: %s", status, raw)
+				}
+			}
+
+			pr, pw := io.Pipe()
+			body := &pipeBody{PipeReader: pr, reading: make(chan struct{})}
+			w := httptest.NewRecorder()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/tenants/acme/"+tc.op, body))
+			}()
+			select {
+			case <-body.reading:
+			case <-done:
+				t.Fatalf("%s returned before reading its body: status %d: %s", tc.op, w.Code, w.Body.Bytes())
+			}
+			if status, raw := doReq(t, http.MethodDelete, ts.URL+"/v1/tenants/acme", nil); status != http.StatusOK {
+				t.Fatalf("drop: status %d: %s", status, raw)
+			}
+			createTenant(t, ts.URL, "acme")
+			go func() {
+				_, _ = pw.Write(tc.body)
+				pw.Close()
+			}()
+			<-done
+			pr.Close() // unblocks the writer if the handler stopped reading early
+			if w.Code != http.StatusNotFound {
+				t.Fatalf("stale %s: status %d: %s, want 404", tc.op, w.Code, w.Body.Bytes())
+			}
+
+			status, live := getBounds(t, ts.URL, "acme")
+			var doc boundsResponse
+			if status != http.StatusOK || json.Unmarshal(live, &doc) != nil || len(doc.Jobs) != 0 {
+				t.Fatalf("re-created tenant bounds: status %d: %s, want no jobs", status, live)
+			}
+			ts.Close()
+			s.Close()
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2 := openStore(t, dir)
+			s2, ts2 := newTestServer(t, Config{Policy: admission.DeadlineMonotonic, Store: st2})
+			defer s2.Close()
+			if notes := s2.Recovery(); len(notes) != 0 {
+				t.Fatalf("recovery notes: %v", notes)
+			}
+			if _, post := getBounds(t, ts2.URL, "acme"); !bytes.Equal(live, post) {
+				t.Fatalf("replay != live after a stale %s:\n live   %s\n replay %s", tc.op, live, post)
+			}
+		})
+	}
+}
+
+// TestStoreFaultIsolatedPerTenant: a disk fault under one tenant's
+// directory degrades that tenant only. Tenant b's writes fail; tenant a's
+// operations still reach disk directly — none of them waits in a backlog
+// — and a's snapshots are still written. /healthz reports degraded and
+// pending_ops counts b's backlog alone. Once b's directory heals the
+// retry loop drains it, and a restart recovers both tenants.
+func TestStoreFaultIsolatedPerTenant(t *testing.T) {
+	dir := t.TempDir()
+	fs := &flakyFS{}
+	st := openStore(t, dir, func(c *store.Config) { c.FS = fs; c.Fsync = true })
+	s, ts := newTestServer(t, Config{Policy: admission.DeadlineMonotonic, Store: st})
+	createTenant(t, ts.URL, "a")
+	createTenant(t, ts.URL, "b")
+
+	bad := filepath.Join(dir, "t_b")
+	fs.failUnder.Store(&bad)
+	admit := func(id string, i int) {
+		t.Helper()
+		status, raw := doReq(t, http.MethodPost, ts.URL+"/v1/tenants/"+id+"/admit", jobJSON(t, fmt.Sprintf("%s%d", id, i), 100, 10_000))
+		var adm admitResponse
+		if status != http.StatusOK || json.Unmarshal(raw, &adm) != nil || !adm.Admitted {
+			t.Fatalf("admit %s/%d: status %d: %s, want acknowledged admission", id, i, status, raw)
+		}
+	}
+	const bOps, aOps = 3, 6 // a's 6 admissions cross the SnapshotEvery=4 cadence
+	for i := 0; i < bOps; i++ {
+		admit("b", i)
+	}
+	for i := 0; i < aOps; i++ {
+		admit("a", i)
+	}
+	snap := getStats(t, ts.URL)
+	if snap.Store == nil || !snap.Store.Degraded || snap.Store.Pending != bOps {
+		t.Fatalf("stats with b's directory failing = %+v, want degraded with exactly b's %d ops pending", snap.Store, bOps)
+	}
+	if _, raw := doReq(t, http.MethodGet, ts.URL+"/healthz", nil); string(raw) != "degraded\n" {
+		t.Fatalf("healthz with b's directory failing: %q, want degraded", raw)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "t_a", "snap-*.snap"))
+	if len(snaps) == 0 || snap.Store.Snapshots == 0 {
+		t.Fatalf("tenant a wrote no snapshot while b was failing (files %v, counter %d)", snaps, snap.Store.Snapshots)
+	}
+
+	fs.failUnder.Store(nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for snap = getStats(t, ts.URL); snap.Store.Degraded || snap.Store.Pending != 0; snap = getStats(t, ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatalf("b's backlog never drained after heal: %+v", snap.Store)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	pre := map[string][]byte{}
+	for _, id := range []string{"a", "b"} {
+		_, pre[id] = getBounds(t, ts.URL, id)
+	}
+	ts.Close()
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir)
+	s2, ts2 := newTestServer(t, Config{Policy: admission.DeadlineMonotonic, Store: st2})
+	defer s2.Close()
+	for id, want := range pre {
+		if status, got := getBounds(t, ts2.URL, id); status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("tenant %s across restart: status %d\n pre  %s\n post %s", id, status, want, got)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -58,10 +59,11 @@ type Config struct {
 	// MaxTenants caps the number of concurrent tenants; 0 means 64.
 	MaxTenants int
 	// Store, when non-nil, makes every committed mutation durable: tenant
-	// creations, drops, admissions, removals, and updates are logged
-	// after their session commit and before the HTTP acknowledgment, and
-	// New replays the store's recovered tenants before serving. Store
-	// errors degrade durability, never availability (see persist.go).
+	// creations, drops, admissions, removals, and updates are enqueued in
+	// the tenant's log as they commit and flushed before the HTTP
+	// acknowledgment, and New replays the store's recovered tenants
+	// before serving. Store errors degrade durability, never availability
+	// (see persist.go).
 	Store *store.Store
 	// TenantTTL evicts tenants idle (no create/admit/remove/update/bounds
 	// traffic) longer than this; zero disables eviction. Evictions are
@@ -84,13 +86,13 @@ type Server struct {
 	counters counters
 	decHist  hist
 
-	// persist is the durability glue (nil without a Store); see persist.go.
-	persist *persister
 	// recoveryNotes records per-tenant semantic replay failures from New.
 	recoveryNotes []string
-	// janitorStop ends the TTL janitor; closeOnce guards double Close.
-	janitorStop chan struct{}
-	closeOnce   sync.Once
+	// stop ends the background loop, which closes done on exit;
+	// closeOnce guards double Close.
+	stop      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 type tenant struct {
@@ -98,9 +100,14 @@ type tenant struct {
 	// spec is the canonical processors-only spec JSON the tenant was
 	// created from, kept for snapshots.
 	spec json.RawMessage
-	// logMu is held across "commit the decision" + "append to the WAL",
-	// making the log's operation order the commit order.
+	// logMu is the tenant's one lock: held across "commit the decision"
+	// + "enqueue its log entry", making the log's operation order the
+	// commit order.
 	logMu sync.Mutex
+	// gone, guarded by logMu, marks a tenant dropped or evicted: a
+	// handler that looked it up before then answers 404 and logs nothing,
+	// so a stale shard can never log into the id's next incarnation.
+	gone bool
 	// lastUsed is the UnixNano of the last request that touched the
 	// tenant, for TTL eviction.
 	lastUsed int64
@@ -129,28 +136,25 @@ func New(cfg Config) *Server {
 		overload: cfg.Overload,
 		tenants:  map[string]*tenant{},
 		started:  time.Now(),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	if cfg.Store != nil {
-		s.persist = newPersister(cfg.Store)
 		s.replayAll()
 	}
-	if cfg.TenantTTL > 0 {
-		s.janitorStop = make(chan struct{})
-		go s.janitor()
-	}
+	go s.background()
 	return s
 }
 
 func (s *Server) now() time.Time { return s.cfg.Now() }
 
-// Close stops the background goroutines (TTL janitor, store retry
-// loop). It does not close the store itself — the store's owner does.
+// Close stops the background loop (TTL eviction, store retries) and
+// waits for it to exit. It does not close the store itself — the store's
+// owner does.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.janitorStop != nil {
-			close(s.janitorStop)
-		}
-		s.persist.close()
+		close(s.stop)
+		<-s.done
 	})
 }
 
@@ -158,63 +162,85 @@ func (s *Server) Close() {
 // -level recovery accounting lives in the store's own Report).
 func (s *Server) Recovery() []string { return s.recoveryNotes }
 
-// janitor periodically evicts idle tenants; cadence is TenantTTL/4
-// clamped to [50ms, 30s].
-func (s *Server) janitor() {
-	period := s.cfg.TenantTTL / 4
-	if period < 50*time.Millisecond {
-		period = 50 * time.Millisecond
+// background is the server's one maintenance loop: it evicts idle
+// tenants every TenantTTL/4 (clamped to [50ms, 30s]) and retries failed
+// store flushes, backing off from retryMin to retryMax while a retry
+// keeps failing.
+func (s *Server) background() {
+	defer close(s.done)
+	var evict, retry <-chan time.Time
+	if s.cfg.TenantTTL > 0 {
+		tick := time.NewTicker(min(max(s.cfg.TenantTTL/4, 50*time.Millisecond), 30*time.Second))
+		defer tick.Stop()
+		evict = tick.C
 	}
-	if period > 30*time.Second {
-		period = 30 * time.Second
+	backoff := retryMin
+	var timer *time.Timer
+	if s.cfg.Store != nil {
+		timer = time.NewTimer(backoff)
+		defer timer.Stop()
+		retry = timer.C
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
 	for {
 		select {
-		case <-s.janitorStop:
+		case <-s.stop:
 			return
-		case <-tick.C:
+		case <-evict:
 			s.evictIdle()
+		case <-retry:
+			if s.cfg.Store.Retry() != nil {
+				backoff = min(2*backoff, retryMax)
+			} else {
+				backoff = retryMin
+			}
+			timer.Reset(backoff)
 		}
 	}
 }
 
 // evictIdle drops every tenant idle longer than TenantTTL, logging each
 // eviction to the store as a drop so restarts do not resurrect them.
-// Like handleDrop, the OpDrop is appended while the id is still in the
-// map (under the tenant's logMu), so a concurrent re-create of the same
-// id cannot get its OpCreate into the store first.
 func (s *Server) evictIdle() {
 	deadline := s.now().Add(-s.cfg.TenantTTL).UnixNano()
-	candidates := map[string]*tenant{}
+	var idle []string
 	s.mu.RLock()
 	for id, t := range s.tenants {
 		if atomic.LoadInt64(&t.lastUsed) <= deadline {
-			candidates[id] = t
+			idle = append(idle, id)
 		}
 	}
 	s.mu.RUnlock()
-	for id, t := range candidates {
-		t.logMu.Lock()
-		s.mu.Lock()
-		// Re-check under the locks: the tenant may have been dropped, or
-		// touched back to life, while we waited for its logMu.
-		if s.tenants[id] != t || atomic.LoadInt64(&t.lastUsed) > deadline {
-			s.mu.Unlock()
-			t.logMu.Unlock()
-			continue
+	for _, id := range idle {
+		if s.unmap(id, store.Op{Kind: store.OpDrop, Evicted: true}, deadline) {
+			s.counters.evictions.Add(1)
 		}
-		s.mu.Unlock()
-		if s.persist != nil {
-			s.persist.log(id, store.Op{Kind: store.OpDrop, Evicted: true})
-		}
-		s.mu.Lock()
-		delete(s.tenants, id)
-		s.mu.Unlock()
-		t.logMu.Unlock()
-		s.counters.evictions.Add(1)
 	}
+}
+
+// unmap drops tenant id: under its logMu it marks the tenant gone, and in
+// one map critical section deletes the id and enqueues op, so a re-create
+// of the id can only enqueue after it. It skips a tenant used after
+// idleSince (math.MaxInt64: never) and reports whether it dropped one.
+func (s *Server) unmap(id string, op store.Op, idleSince int64) bool {
+	s.mu.RLock()
+	t := s.tenants[id]
+	s.mu.RUnlock()
+	if t == nil {
+		return false
+	}
+	t.logMu.Lock()
+	if t.gone || atomic.LoadInt64(&t.lastUsed) > idleSince {
+		t.logMu.Unlock()
+		return false
+	}
+	t.gone = true
+	s.mu.Lock()
+	delete(s.tenants, id)
+	seq, _ := s.enqueue(id, op)
+	s.mu.Unlock()
+	t.logMu.Unlock()
+	s.flush(id, seq)
+	return true
 }
 
 // Handler returns the HTTP API:
@@ -236,11 +262,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/tenants/{tenant}/bounds", s.handleBounds)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s.persist.degraded() {
-			// Still 200: the server is live and serving from memory; the
-			// body tells the orchestrator durability is behind.
-			fmt.Fprintln(w, "degraded")
-			return
+		if s.cfg.Store != nil {
+			if backlog, _, _ := s.cfg.Store.Stats(); backlog > 0 {
+				// Still 200: the server is live and serving from memory;
+				// the body tells the orchestrator durability is behind.
+				fmt.Fprintln(w, "degraded")
+				return
+			}
 		}
 		fmt.Fprintln(w, "ok")
 	})
@@ -331,66 +359,62 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := &tenant{ctl: ctl, spec: specJSON, lastUsed: s.now().UnixNano()}
-	// Hold the new tenant's logMu across map insertion and the create
-	// append: an admit that finds the tenant in the map blocks on logMu
-	// until the creation itself is in the log.
-	t.logMu.Lock()
 	s.mu.Lock()
 	if _, dup := s.tenants[id]; dup {
 		s.mu.Unlock()
-		t.logMu.Unlock()
 		s.replyErr(w, http.StatusConflict, "tenant %q already exists", id)
 		return
 	}
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		s.mu.Unlock()
-		t.logMu.Unlock()
 		s.replyErr(w, http.StatusTooManyRequests, "tenant limit %d reached", s.cfg.MaxTenants)
 		return
 	}
 	s.tenants[id] = t
+	// Enqueued before any request can find t: its decisions queue after.
+	seq, _ := s.enqueue(id, store.Op{Kind: store.OpCreate, Spec: specJSON})
 	s.mu.Unlock()
-	if s.persist != nil {
-		s.persist.log(id, store.Op{Kind: store.OpCreate, Spec: specJSON})
-	}
-	t.logMu.Unlock()
+	s.flush(id, seq)
 	s.reply(w, http.StatusCreated, map[string]any{"tenant": id, "processors": len(spec.Procs)})
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("tenant")
-	s.mu.RLock()
-	t := s.tenants[id]
-	s.mu.RUnlock()
-	if t == nil {
+	if !s.unmap(id, store.Op{Kind: store.OpDrop}, math.MaxInt64) {
 		s.replyErr(w, http.StatusNotFound, "unknown tenant %q", id)
 		return
 	}
-	// Log the drop BEFORE removing the id from the map, under the
-	// tenant's logMu. A concurrent re-create of the same id cannot insert
-	// (and so cannot append its OpCreate) while the id is still mapped,
-	// so the store always sees drop-then-create in that order; appending
-	// after the delete would let the OpCreate reach the store first, be
-	// rejected ErrTenantExists, and leave durable state saying dropped
-	// while the server serves the re-created tenant.
+	s.reply(w, http.StatusOK, map[string]any{"dropped": id})
+}
+
+// decide runs one decision on tenant t under its logMu. commit applies
+// the decision to the session and returns the operation to log, with the
+// job to marshal into it; an empty Kind means nothing committed. The
+// operation is enqueued before the lock is released and flushed before
+// decide returns, so before the caller's acknowledgment. decide reports
+// false, having answered, when t was dropped or evicted after the handler
+// looked it up (404) or the decision failed.
+func (s *Server) decide(w http.ResponseWriter, r *http.Request, t *tenant, commit func() (store.Op, *model.Job, error)) bool {
+	id := r.PathValue("tenant")
+	start := time.Now()
 	t.logMu.Lock()
-	s.mu.Lock()
-	if s.tenants[id] != t {
-		// Lost the race with another drop or an eviction of this tenant.
-		s.mu.Unlock()
+	if t.gone {
 		t.logMu.Unlock()
 		s.replyErr(w, http.StatusNotFound, "unknown tenant %q", id)
-		return
+		return false
 	}
-	s.mu.Unlock()
-	if s.persist != nil {
-		s.persist.log(id, store.Op{Kind: store.OpDrop})
+	op, job, err := commit()
+	var seq uint64
+	if err == nil && op.Kind != "" {
+		seq = s.logDecision(id, t, op, job)
 	}
-	s.mu.Lock()
-	delete(s.tenants, id)
-	s.mu.Unlock()
 	t.logMu.Unlock()
-	s.reply(w, http.StatusOK, map[string]any{"dropped": id})
+	s.flush(id, seq)
+	s.decHist.observe(time.Since(start))
+	if err != nil {
+		s.decisionError(w, r, err)
+	}
+	return err == nil
 }
 
 // admitResponse is the admission-decision body.
@@ -413,26 +437,13 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := r.PathValue("tenant")
-	start := time.Now()
-	t.logMu.Lock()
-	ok, err := t.ctl.RequestOpts(job, s.decisionOpts(r))
-	if err == nil && ok && s.persist != nil {
-		// Log after the commit, before the 200: a crash between the two
-		// forgets only an unacknowledged admission.
-		jobJSON, merr := json.Marshal(job)
-		if merr == nil {
-			if s.persist.log(id, store.Op{Kind: store.OpAdmit, Job: jobJSON, Pri: s.priVector(t.ctl)}) {
-				s.persist.snapshot(id, t.spec, t.ctl)
-			}
-		} else {
-			s.persist.errors.Add(1)
+	var ok bool
+	if !s.decide(w, r, t, func() (store.Op, *model.Job, error) {
+		if ok, err = t.ctl.RequestOpts(job, s.decisionOpts(r)); err != nil || !ok {
+			return store.Op{}, nil, err
 		}
-	}
-	t.logMu.Unlock()
-	s.decHist.observe(time.Since(start))
-	if err != nil {
-		s.decisionError(w, r, err)
+		return store.Op{Kind: store.OpAdmit}, &job, nil
+	}) {
 		return
 	}
 	if ok {
@@ -464,20 +475,15 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusBadRequest, "removal body must be {\"name\": \"...\"}")
 		return
 	}
-	id := r.PathValue("tenant")
-	start := time.Now()
-	t.logMu.Lock()
-	present, err := t.ctl.RemoveOpts(req.Name, s.decisionOpts(r))
-	if err == nil && present && s.persist != nil {
-		if s.persist.log(id, store.Op{Kind: store.OpRemove, Name: req.Name, Pri: s.priVector(t.ctl)}) {
-			s.persist.snapshot(id, t.spec, t.ctl)
+	var present bool
+	if !s.decide(w, r, t, func() (store.Op, *model.Job, error) {
+		// On error the controller rolled back; the job is still admitted.
+		var err error
+		if present, err = t.ctl.RemoveOpts(req.Name, s.decisionOpts(r)); err != nil || !present {
+			return store.Op{}, nil, err
 		}
-	}
-	t.logMu.Unlock()
-	s.decHist.observe(time.Since(start))
-	if err != nil {
-		// The controller rolled back; the job is still admitted.
-		s.decisionError(w, r, err)
+		return store.Op{Kind: store.OpRemove, Name: req.Name}, nil, nil
+	}) {
 		return
 	}
 	if present {
@@ -507,24 +513,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := r.PathValue("tenant")
-	start := time.Now()
-	t.logMu.Lock()
-	present, ok, err := t.ctl.UpdateOpts(job, s.decisionOpts(r))
-	if err == nil && present && ok && s.persist != nil {
-		jobJSON, merr := json.Marshal(job)
-		if merr == nil {
-			if s.persist.log(id, store.Op{Kind: store.OpMutate, Job: jobJSON, Name: job.Name, Pri: s.priVector(t.ctl)}) {
-				s.persist.snapshot(id, t.spec, t.ctl)
-			}
-		} else {
-			s.persist.errors.Add(1)
+	var present, ok bool
+	if !s.decide(w, r, t, func() (store.Op, *model.Job, error) {
+		if present, ok, err = t.ctl.UpdateOpts(job, s.decisionOpts(r)); err != nil || !present || !ok {
+			return store.Op{}, nil, err
 		}
-	}
-	t.logMu.Unlock()
-	s.decHist.observe(time.Since(start))
-	if err != nil {
-		s.decisionError(w, r, err)
+		return store.Op{Kind: store.OpMutate, Name: job.Name}, &job, nil
+	}) {
 		return
 	}
 	if !present {
@@ -620,13 +615,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DecisionP99Ns:  s.decHist.quantileNs(0.99),
 		DecisionHist:   buckets,
 	}
-	if s.persist != nil {
+	if s.cfg.Store != nil {
+		backlog, failures, snapshots := s.cfg.Store.Stats()
+		unlogged := s.counters.unlogged.Load()
 		snap.Store = &StoreStats{
-			Degraded:          s.persist.degraded(),
-			Errors:            s.persist.errors.Load(),
-			Pending:           s.persist.pending(),
-			Snapshots:         s.persist.snapshots.Load(),
-			DroppedOps:        s.persist.dropped.Load(),
+			Degraded:          backlog > 0,
+			Errors:            failures + unlogged,
+			Pending:           backlog,
+			Snapshots:         snapshots,
+			DroppedOps:        unlogged,
 			ReplayQuarantines: s.counters.replayQuarantines.Load(),
 		}
 	}

@@ -87,6 +87,9 @@ type counters struct {
 	// replayQuarantines counts tenants whose recovered log would not
 	// replay into a consistent controller at startup.
 	replayQuarantines atomic.Uint64
+	// unlogged counts operations and snapshots the store refused to
+	// queue (a sequencing or encoding error no retry can fix).
+	unlogged atomic.Uint64
 }
 
 // HistBucket is one non-empty histogram bucket in /stats.
@@ -129,17 +132,18 @@ type StatsSnapshot struct {
 
 // StoreStats is the durability section of /stats.
 type StoreStats struct {
-	// Degraded is true while unlogged operations wait in the outbox; the
-	// server keeps deciding from memory, but a crash now would lose the
-	// queued suffix.
+	// Degraded is true while some tenant's log queue holds operations
+	// whose flush failed; the server keeps deciding from memory, but a
+	// crash now would lose those queued suffixes.
 	Degraded bool `json:"degraded"`
-	// Errors counts failed store operations (appends and snapshots).
+	// Errors counts failed store operations (writes, and DroppedOps).
 	Errors uint64 `json:"store_errors"`
-	// Pending is the current outbox depth.
+	// Pending is the sum of the tenants' failed backlogs.
 	Pending int `json:"pending_ops"`
 	// Snapshots counts snapshots written.
 	Snapshots uint64 `json:"snapshots"`
-	// DroppedOps counts outbox entries abandoned as unretryable.
+	// DroppedOps counts operations and snapshots the store refused to
+	// queue as unretryable.
 	DroppedOps uint64 `json:"dropped_ops"`
 	// ReplayQuarantines counts tenants quarantined at startup because
 	// their recovered log did not replay into a consistent controller.

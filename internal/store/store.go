@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Config parameterizes a Store.
@@ -34,35 +36,56 @@ type Config struct {
 const DefaultSnapshotEvery = 64
 
 // Store is the durable tenant store. Open recovers existing state;
-// Append and WriteSnapshot extend it. All methods are safe for
-// concurrent use; callers serialize per-tenant operation order
-// themselves (the serve layer holds its per-tenant log lock across
-// decision commit + append, which is what makes replay order match
-// commit order).
+// Enqueue and EnqueueSnapshot extend a tenant's ordered queue in memory
+// and Flush writes it. The queue outlives a drop and re-create of its
+// id, so a drop and the next create reach disk in enqueue order. All
+// methods are safe for concurrent use; callers enqueue a tenant's
+// operations in commit order (the serve layer does so under its
+// per-tenant lock) and flush outside that lock.
 type Store struct {
 	cfg Config
 	fs  FS
 
+	// mu guards the tenants map and each tlog's queue side; disk writes
+	// never run under it.
 	mu      sync.Mutex
 	tenants map[string]*tlog
+
+	errors    atomic.Uint64 // failed writes: record runs and snapshots
+	snapshots atomic.Uint64 // snapshots written
 
 	recovered []RecoveredTenant
 	report    RecoveryReport
 }
 
-// tlog is the in-memory append state of one tenant's log.
+// tlog is one tenant id's ordered log: its in-memory queue and the state
+// of its open segment.
 type tlog struct {
 	id  string
 	dir string
 
-	seg     File   // open segment, nil until the next append
+	// Queue side, guarded by Store.mu.
+	next      uint64  // next sequence number to enqueue
+	live      bool    // false once an OpDrop is the latest enqueued state
+	sinceSnap int     // ops enqueued since the last snapshot was enqueued
+	queue     []entry // enqueued, not yet on disk, oldest first
+	stalled   bool    // the last flush stopped at a failed write
+
+	// Disk side, guarded by wmu, which also admits one writer at a time.
+	wmu     sync.Mutex
+	made    bool   // the tenant directory exists
+	seg     File   // open segment, nil until the next write
 	segPath string // path of the open segment
 	segGood int64  // verified-good byte length of the open segment
-	dirty   bool   // the last append failed mid-frame; truncate before reuse
+	dirty   bool   // the last write failed mid-frame; truncate before reuse
+}
 
-	next      uint64 // next sequence number
-	live      bool   // false once an OpDrop is the latest state
-	sinceSnap int    // ops appended since the last snapshot
+// entry is one queued write: an encoded record frame, or a snapshot of
+// the tenant's state at seq.
+type entry struct {
+	seq   uint64
+	frame []byte
+	snap  *Snapshot
 }
 
 // tenantDirPat matches ids safe to use as directory names verbatim.
@@ -194,6 +217,7 @@ func Open(cfg Config) (*Store, error) {
 			}
 		default:
 			s.report.Recovered++
+			st.made = true
 			s.tenants[id] = st
 			s.recovered = append(s.recovered, *rt)
 		}
@@ -222,48 +246,33 @@ func (e *ErrUnknownTenant) Error() string {
 	return fmt.Sprintf("store: unknown tenant %q (log it with an OpCreate first)", e.ID)
 }
 
-// Append durably logs one operation for the tenant. The store assigns
-// the sequence number. An OpCreate on an unknown (or dropped) tenant
-// starts (or restarts) its log; every other kind requires a live
-// tenant. snapDue reports that the tenant has accumulated enough
-// operations since its last snapshot that the caller should assemble
-// one and call WriteSnapshot.
-//
-// On error nothing was durably appended: a partially written frame is
-// remembered and truncated away before the next append, so a failed
-// write can never corrupt the record stream for a later successful one.
-func (s *Store) Append(id string, op Op) (snapDue bool, err error) {
+// Enqueue assigns op the tenant's next sequence number and queues it
+// behind everything enqueued before it; Flush writes it. An OpCreate on
+// an unknown (or dropped) tenant starts (or restarts) its log; every
+// other kind requires a live tenant. A refused or unencodable op is
+// reported here and queues nothing. snapDue reports that the tenant has
+// enqueued enough operations since its last snapshot that the caller
+// should capture its state now and EnqueueSnapshot it, so the snapshot
+// lands right behind this op.
+func (s *Store) Enqueue(id string, op Op) (seq uint64, snapDue bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tenants[id]
-	if t == nil || !t.live {
-		if op.Kind != OpCreate {
-			return false, &ErrUnknownTenant{id}
-		}
-		if t == nil {
-			enc := encTenant(id)
-			t = &tlog{id: id, dir: filepath.Join(s.cfg.Dir, enc), next: 1}
-			if err := s.fs.MkdirAll(t.dir); err != nil {
-				return false, fmt.Errorf("store: creating tenant dir: %w", err)
-			}
-			if strings.HasPrefix(enc, "h_") {
-				if err := s.writeIDFile(t.dir, id); err != nil {
-					return false, err
-				}
-			}
-			s.tenants[id] = t
-		}
-	} else if op.Kind == OpCreate {
-		return false, fmt.Errorf("store: tenant %q: %w", id, ErrTenantExists)
+	switch live := t != nil && t.live; {
+	case !live && op.Kind != OpCreate:
+		return 0, false, &ErrUnknownTenant{id}
+	case live && op.Kind == OpCreate:
+		return 0, false, fmt.Errorf("store: tenant %q: %w", id, ErrTenantExists)
+	case t == nil:
+		t = &tlog{id: id, dir: filepath.Join(s.cfg.Dir, encTenant(id)), next: 1}
 	}
 	op.Seq = t.next
 	frame, err := encodeOp(&op)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	if err := s.appendFrame(t, frame); err != nil {
-		return false, err
-	}
+	s.tenants[id] = t
+	t.queue = append(t.queue, entry{seq: op.Seq, frame: frame})
 	t.next++
 	t.sinceSnap++
 	switch op.Kind {
@@ -272,89 +281,14 @@ func (s *Store) Append(id string, op Op) (snapDue bool, err error) {
 	case OpDrop:
 		t.live = false
 	}
-	return t.live && s.cfg.SnapshotEvery > 0 && t.sinceSnap >= s.cfg.SnapshotEvery, nil
+	return op.Seq, t.live && s.cfg.SnapshotEvery > 0 && t.sinceSnap >= s.cfg.SnapshotEvery, nil
 }
 
-// appendFrame writes one encoded frame to the tenant's open segment,
-// repairing any half-written tail left by a previous failed append.
-func (s *Store) appendFrame(t *tlog, frame []byte) error {
-	if t.dirty {
-		// A previous append may have left partial bytes; cut back to the
-		// last verified-good length before writing anything new, so the
-		// segment never carries a corrupt frame followed by a valid one.
-		if t.seg != nil {
-			_ = t.seg.Close()
-			t.seg = nil
-		}
-		if err := s.fs.Truncate(t.segPath, t.segGood); err != nil {
-			return fmt.Errorf("store: repairing torn segment tail: %w", err)
-		}
-		t.dirty = false
-	}
-	if t.seg == nil {
-		if t.segPath == "" || t.segGood == 0 {
-			// Fresh segment at the next sequence number. Create (not
-			// append) so a magic-only file left by a rotation that crashed
-			// before its first record cannot accumulate a second header.
-			t.segPath = filepath.Join(t.dir, segName(t.next))
-			f, err := s.fs.Create(t.segPath)
-			if err != nil {
-				return fmt.Errorf("store: opening segment: %w", err)
-			}
-			if _, err := f.Write(segMagic); err != nil {
-				f.Close()
-				t.dirty = true
-				t.segGood = 0
-				return fmt.Errorf("store: writing segment header: %w", err)
-			}
-			if s.cfg.Fsync {
-				if err := f.Sync(); err != nil {
-					f.Close()
-					t.dirty = true
-					t.segGood = 0
-					return fmt.Errorf("store: syncing segment header: %w", err)
-				}
-				if err := s.fs.SyncDir(t.dir); err != nil {
-					f.Close()
-					return fmt.Errorf("store: syncing tenant dir: %w", err)
-				}
-			}
-			t.seg = f
-			t.segGood = int64(len(segMagic))
-		} else {
-			f, err := s.fs.OpenAppend(t.segPath)
-			if err != nil {
-				return fmt.Errorf("store: reopening segment: %w", err)
-			}
-			t.seg = f
-		}
-	}
-	n, werr := t.seg.Write(frame)
-	if werr != nil || n != len(frame) {
-		t.dirty = true
-		if werr == nil {
-			werr = fmt.Errorf("short write (%d of %d bytes)", n, len(frame))
-		}
-		return fmt.Errorf("store: appending record: %w", werr)
-	}
-	if s.cfg.Fsync {
-		if err := t.seg.Sync(); err != nil {
-			// The bytes may or may not be durable; withdraw the record so
-			// the acknowledged log stays a prefix of the durable one.
-			t.dirty = true
-			return fmt.Errorf("store: syncing record: %w", err)
-		}
-	}
-	t.segGood += int64(len(frame))
-	return nil
-}
-
-// WriteSnapshot persists the tenant's full state at its current log
-// position, rotates the segment, and compacts: the last two snapshot
-// generations are retained (so a torn newest snapshot still recovers
-// from the previous one) and every segment fully covered by the older
-// retained snapshot is deleted.
-func (s *Store) WriteSnapshot(id string, spec json.RawMessage, jobs []json.RawMessage) error {
+// EnqueueSnapshot queues a snapshot of the tenant at its latest enqueued
+// operation; spec and jobs must be the state that operation left. Flush
+// writes it once the records ahead of it are durable, then rotates the
+// segment and compacts.
+func (s *Store) EnqueueSnapshot(id string, spec json.RawMessage, jobs []json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tenants[id]
@@ -365,6 +299,203 @@ func (s *Store) WriteSnapshot(id string, spec json.RawMessage, jobs []json.RawMe
 		return fmt.Errorf("store: tenant %q has no operations to snapshot", id)
 	}
 	snap := &Snapshot{Seq: t.next - 1, Spec: spec, Jobs: jobs, Live: t.live}
+	t.queue = append(t.queue, entry{seq: snap.Seq, snap: snap})
+	t.sinceSnap = 0
+	return nil
+}
+
+// Flush writes the tenant's queue oldest first and returns nil once
+// every entry up to seq is on disk (math.MaxUint64: everything queued).
+// One writer runs per tenant and takes everything queued, one write and
+// one sync per run of records, so callers that queued meanwhile find
+// their entries written (group commit). It stops at the first failed
+// write, leaving the rest queued in order and the tenant degraded until
+// a later Flush or Retry; a failed snapshot is dropped instead, since
+// the cadence asks for another on the next op.
+func (s *Store) Flush(id string, seq uint64) error {
+	s.mu.Lock()
+	t := s.tenants[id]
+	s.mu.Unlock()
+	if t == nil {
+		return &ErrUnknownTenant{id}
+	}
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	s.mu.Lock()
+	batch := t.queue // Enqueue only appends, so this prefix stays ours
+	s.mu.Unlock()
+	if len(batch) == 0 || batch[0].seq > seq {
+		return nil // an earlier flush wrote it
+	}
+	var err error
+	var last entry // the entry written last, or whose write failed
+	n := 0
+	for n < len(batch) && err == nil {
+		if last = batch[n]; last.snap != nil {
+			n++
+			if err = s.writeSnapshot(t, last.snap); err == nil {
+				s.snapshots.Add(1)
+			}
+			continue
+		}
+		end := n + 1
+		for end < len(batch) && batch[end].snap == nil {
+			end++
+		}
+		if err = s.writeRun(t, batch[n:end]); err == nil {
+			n = end
+		}
+	}
+	s.mu.Lock()
+	t.queue = t.queue[n:]
+	if len(t.queue) == 0 {
+		t.queue = nil
+	}
+	t.stalled = n < len(batch)
+	if err != nil && last.snap != nil {
+		t.sinceSnap = max(t.sinceSnap, s.cfg.SnapshotEvery)
+	}
+	s.mu.Unlock()
+	if err == nil {
+		return nil
+	}
+	s.errors.Add(1)
+	if last.seq > seq {
+		return nil
+	}
+	return err
+}
+
+// Append enqueues one operation and flushes the tenant through it. On a
+// flush error the op stays queued and the next Flush or Retry writes it
+// first; snapDue is as for Enqueue, and false on error.
+func (s *Store) Append(id string, op Op) (snapDue bool, err error) {
+	seq, due, err := s.Enqueue(id, op)
+	if err == nil {
+		err = s.Flush(id, seq)
+	}
+	return due && err == nil, err
+}
+
+// WriteSnapshot enqueues a snapshot (see EnqueueSnapshot) and flushes the
+// tenant's whole queue, reporting the snapshot's own failure too.
+func (s *Store) WriteSnapshot(id string, spec json.RawMessage, jobs []json.RawMessage) error {
+	if err := s.EnqueueSnapshot(id, spec, jobs); err != nil {
+		return err
+	}
+	return s.Flush(id, math.MaxUint64)
+}
+
+// Retry flushes every tenant whose last flush failed and returns their
+// errors: the degraded-mode retry, run by the owner's background loop
+// with backoff.
+func (s *Store) Retry() error {
+	s.mu.Lock()
+	var stalled []string
+	for id, t := range s.tenants {
+		if t.stalled {
+			stalled = append(stalled, id)
+		}
+	}
+	s.mu.Unlock()
+	var err error
+	for _, id := range stalled {
+		err = errors.Join(err, s.Flush(id, math.MaxUint64))
+	}
+	return err
+}
+
+// Stats reports the store's write side: how many operations are queued
+// in tenants whose last flush failed (the store is degraded while that
+// is non-zero), how many writes failed (each retry counting again), and
+// how many snapshots were written.
+func (s *Store) Stats() (backlog int, failures, snapshots uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range s.tenants {
+		for _, e := range t.queue {
+			if t.stalled && e.snap == nil {
+				backlog++
+			}
+		}
+	}
+	return backlog, s.errors.Load(), s.snapshots.Load()
+}
+
+// writeRun writes a run of records to the tenant's open segment in one
+// write and syncs once, first cutting away any partial bytes a previous
+// failed write left. A fresh segment is named by the run's first record
+// and gets its header in the same write.
+func (s *Store) writeRun(t *tlog, run []entry) error {
+	if !t.made {
+		if err := s.fs.MkdirAll(t.dir); err != nil {
+			return fmt.Errorf("store: creating tenant dir: %w", err)
+		}
+		if strings.HasPrefix(filepath.Base(t.dir), "h_") {
+			if err := s.writeIDFile(t.dir, t.id); err != nil {
+				return err
+			}
+		}
+		t.made = true
+	}
+	if t.dirty {
+		// Cut back to the last verified-good length before writing
+		// anything new, so the segment never carries a corrupt frame
+		// followed by a valid one.
+		if t.seg != nil {
+			_ = t.seg.Close()
+			t.seg = nil
+		}
+		if err := s.fs.Truncate(t.segPath, t.segGood); err != nil {
+			return fmt.Errorf("store: repairing torn segment tail: %w", err)
+		}
+		t.dirty = false
+	}
+	var buf []byte
+	if t.seg == nil && t.segGood == 0 {
+		// Create (not append) so a header left by a failed first write
+		// cannot be followed by a second one.
+		t.segPath = filepath.Join(t.dir, segName(run[0].seq))
+		f, err := s.fs.Create(t.segPath)
+		if err != nil {
+			return fmt.Errorf("store: opening segment: %w", err)
+		}
+		t.seg, buf = f, append(buf, segMagic...)
+	} else if t.seg == nil {
+		f, err := s.fs.OpenAppend(t.segPath)
+		if err != nil {
+			return fmt.Errorf("store: reopening segment: %w", err)
+		}
+		t.seg = f
+	}
+	for _, e := range run {
+		buf = append(buf, e.frame...)
+	}
+	n, err := t.seg.Write(buf)
+	if err == nil && n != len(buf) {
+		err = fmt.Errorf("short write (%d of %d bytes)", n, len(buf))
+	}
+	if err == nil && s.cfg.Fsync {
+		// A failed sync may or may not have made the bytes durable; the
+		// run is withdrawn all the same, so the acknowledged log stays a
+		// prefix of the durable one.
+		if err = t.seg.Sync(); err == nil && t.segGood == 0 {
+			err = s.fs.SyncDir(t.dir)
+		}
+	}
+	if err != nil {
+		t.dirty = true
+		return fmt.Errorf("store: appending records: %w", err)
+	}
+	t.segGood += int64(len(buf))
+	return nil
+}
+
+// writeSnapshot persists one snapshot via temp file + rename, rotates the
+// segment, and compacts: the last two snapshot generations are retained
+// (so a torn newest snapshot still recovers from the previous one) and
+// every segment fully covered by the older retained snapshot is deleted.
+func (s *Store) writeSnapshot(t *tlog, snap *Snapshot) error {
 	data, err := encodeSnapshot(snap)
 	if err != nil {
 		return err
@@ -400,14 +531,13 @@ func (s *Store) WriteSnapshot(id string, spec json.RawMessage, jobs []json.RawMe
 			return fmt.Errorf("store: syncing tenant dir: %w", err)
 		}
 	}
-	// Rotate: the next append starts a fresh segment, so every existing
+	// Rotate: the next write starts a fresh segment, so every existing
 	// segment is now fully covered by some snapshot.
 	if t.seg != nil {
 		_ = t.seg.Close()
 		t.seg = nil
 	}
 	t.segPath, t.segGood, t.dirty = "", 0, false
-	t.sinceSnap = 0
 	s.compact(t, snap.Seq)
 	return nil
 }
@@ -464,15 +594,17 @@ func (s *Store) compact(t *tlog, newestSnap uint64) {
 // id. Used by the serve layer when replay into a controller fails.
 func (s *Store) QuarantineTenant(id string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	t := s.tenants[id]
+	delete(s.tenants, id)
+	s.mu.Unlock()
 	if t == nil {
 		return &ErrUnknownTenant{id}
 	}
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	if t.seg != nil {
 		_ = t.seg.Close()
 	}
-	delete(s.tenants, id)
 	s.report.QuarantinedTenants++
 	return s.quarantineDir(t.dir, filepath.Base(t.dir))
 }
@@ -509,15 +641,21 @@ func (s *Store) writeIDFile(dir, id string) error {
 	return nil
 }
 
-// Close releases open segment handles. Appends after Close reopen them.
+// Close releases open segment handles. Writes after Close reopen them.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	ts := make([]*tlog, 0, len(s.tenants))
 	for _, t := range s.tenants {
+		ts = append(ts, t)
+	}
+	s.mu.Unlock()
+	for _, t := range ts {
+		t.wmu.Lock()
 		if t.seg != nil {
 			_ = t.seg.Close()
 			t.seg = nil
 		}
+		t.wmu.Unlock()
 	}
 	return nil
 }

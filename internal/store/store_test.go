@@ -594,12 +594,22 @@ func TestAppendFaultsNeverCorrupt(t *testing.T) {
 			if _, err := s.Append("acme", Op{Kind: OpAdmit, Job: testJob("faulty")}); !errors.Is(err, errInjected) {
 				t.Fatalf("faulted append err = %v, want injected fault", err)
 			}
-			// The server would keep the op in its outbox and retry once the
-			// disk heals; the retried record must appear exactly once with
-			// the right sequence number, with no corruption in between.
+			// The failed op stays queued and the tenant degraded; once the
+			// disk heals, the retry entry point writes it exactly once at
+			// its own sequence number, with no corruption in between, and
+			// later appends follow it.
+			if b, _, _ := s.Stats(); b != 1 {
+				t.Fatalf("backlog after faulted append = %d, want 1", b)
+			}
 			ffs.heal()
-			if _, err := s.Append("acme", Op{Kind: OpAdmit, Job: testJob("retried")}); err != nil {
-				t.Fatalf("append after heal: %v", err)
+			if err := s.Retry(); err != nil {
+				t.Fatalf("retry after heal: %v", err)
+			}
+			if b, _, _ := s.Stats(); b != 0 {
+				t.Fatalf("backlog after retry = %d, want 0", b)
+			}
+			if _, err := s.Append("acme", Op{Kind: OpAdmit, Job: testJob("after")}); err != nil {
+				t.Fatalf("append after retry: %v", err)
 			}
 			s.Close()
 
@@ -609,17 +619,16 @@ func TestAppendFaultsNeverCorrupt(t *testing.T) {
 				t.Fatalf("recovery found damage after repaired append: %+v", rep)
 			}
 			tail := r.Tenants()[0].Tail
-			if len(tail) != 4 {
-				t.Fatalf("recovered %d ops, want 4", len(tail))
+			if len(tail) != 5 {
+				t.Fatalf("recovered %d ops, want 5", len(tail))
 			}
-			var last struct {
-				Name string `json:"name"`
-			}
-			if err := json.Unmarshal(tail[3].Job, &last); err != nil || last.Name != "retried" {
-				t.Fatalf("tail[3] = %+v, want the retried record (err %v)", tail[3], err)
-			}
-			if tail[3].Seq != 4 {
-				t.Fatalf("retried record at seq %d, want 4 (failed append must not burn a seq)", tail[3].Seq)
+			for k, want := range map[int]string{3: "faulty", 4: "after"} {
+				var got struct {
+					Name string `json:"name"`
+				}
+				if err := json.Unmarshal(tail[k].Job, &got); err != nil || got.Name != want || tail[k].Seq != uint64(k+1) {
+					t.Fatalf("tail[%d] = %+v, want %q at seq %d (err %v)", k, tail[k], want, k+1, err)
+				}
 			}
 		})
 	}
