@@ -48,8 +48,8 @@ type Controller struct {
 	policy PriorityPolicy
 	sess   *analysis.Session
 	// opts are the construction-time execution options; the per-request
-	// variants (RequestOpts, RemoveOpts) swap them in for one decision and
-	// restore them afterwards.
+	// variants (RequestOpts, RemoveOpts, UpdateOpts) swap theirs in for one
+	// decision and restore these afterwards.
 	opts analysis.Options
 	// index maps an admitted job name to its index in the committed
 	// system, replacing the per-request linear name scans.
@@ -96,33 +96,93 @@ func (c *Controller) System() *model.System {
 	return sys
 }
 
-// Admitted returns the names of the admitted jobs in admission order.
-func (c *Controller) Admitted() []string {
+// Len returns the number of admitted jobs.
+func (c *Controller) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	sys := c.sess.System()
-	out := make([]string, len(sys.Jobs))
-	for i := range sys.Jobs {
-		out[i] = sys.Jobs[i].Name
-	}
-	return out
+	return len(c.index)
 }
 
 // ErrDuplicate rejects a request whose name is already admitted.
 var ErrDuplicate = errors.New("admission: job name already admitted")
 
-// assign stages the policy's priority maintenance on the working system.
-func (c *Controller) assign() error {
-	if c.policy != DeadlineMonotonic {
-		return nil
+// lock takes the write lock and applies opts to the one operation it
+// guards; the returned func restores the construction-time options and
+// unlocks.
+func (c *Controller) lock(opts analysis.Options) (unlock func()) {
+	c.mu.Lock()
+	c.sess.SetOptions(opts)
+	return func() {
+		c.sess.SetOptions(c.opts)
+		c.mu.Unlock()
+	}
+}
+
+// Every operation kind (admit, remove, update) has one implementation,
+// shared by live decisions and log replay, and settle is its tail. The
+// pin says where the operation's priorities come from. Live (nil pin),
+// the policy sets them and the schedulability verdict decides whether
+// the change commits. Replayed, pin holds the logged post-operation
+// vector: it is applied as is and the operation commits, because it was
+// decided before it was logged — so replay walks the session through
+// exactly the staged states the live decision did.
+//
+// settle sets the staged operation's priorities, converges and commits.
+// A convergence error vetoes the operation when veto is set; otherwise (a
+// removal: the shrink itself is always sound) the operation commits with
+// a stale result, which the next Bounds repairs. Every failure rolls the
+// staged state back.
+func (c *Controller) settle(pin *[][]int, veto bool) (bool, error) {
+	ok, err := true, c.prioritize(pin)
+	switch {
+	case err != nil: // the priorities could not be set: roll back
+	case !veto:
+		_, _ = c.sess.Converge()
+	case pin != nil:
+		_, err = c.sess.Converge()
+	default:
+		ok, err = c.sess.Schedulable()
+	}
+	if err == nil && ok {
+		c.sess.Commit()
+		return true, nil
+	}
+	c.sess.Rollback()
+	if err != nil {
+		return false, fmt.Errorf("admission: %w", err)
+	}
+	return false, nil
+}
+
+// prioritize stages the operation's priorities on the working system:
+// the pinned vector as is (nil: the operation moved none), or else the
+// policy's maintenance.
+func (c *Controller) prioritize(pin *[][]int) error {
+	if pin == nil && c.policy != DeadlineMonotonic || pin != nil && *pin == nil {
+		return nil // nothing moves
 	}
 	return c.sess.Mutate(func(sys *model.System) error {
-		if testHookAssign != nil {
-			if err := testHookAssign(); err != nil {
-				return err
+		if pin == nil {
+			if testHookAssign != nil {
+				if err := testHookAssign(); err != nil {
+					return err
+				}
+			}
+			priority.RelativeDeadlineMonotonic(sys)
+			return nil
+		}
+		pri := *pin
+		if len(pri) != len(sys.Jobs) {
+			return fmt.Errorf("priority vector covers %d jobs, system has %d", len(pri), len(sys.Jobs))
+		}
+		for k := range sys.Jobs {
+			if len(pri[k]) != len(sys.Jobs[k].Subjobs) {
+				return fmt.Errorf("job %d priority vector has %d hops, job has %d", k, len(pri[k]), len(sys.Jobs[k].Subjobs))
+			}
+			for j := range sys.Jobs[k].Subjobs {
+				sys.Jobs[k].Subjobs[j].Priority = pri[k][j]
 			}
 		}
-		priority.RelativeDeadlineMonotonic(sys)
 		return nil
 	})
 }
@@ -132,9 +192,7 @@ func (c *Controller) assign() error {
 // decision uses the exact analysis on all-SPP resource-free systems and
 // the Theorem 4 bounds otherwise, warm-started from the resident state.
 func (c *Controller) Request(job model.Job) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.requestLocked(job)
+	return c.RequestOpts(job, c.opts)
 }
 
 // RequestOpts is Request with one-shot execution options (a per-request
@@ -142,14 +200,13 @@ func (c *Controller) Request(job model.Job) (bool, error) {
 // construction-time options are restored afterwards. The serve layer uses
 // this to bind each HTTP request's context and budget to its decision.
 func (c *Controller) RequestOpts(job model.Job, opts analysis.Options) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sess.SetOptions(opts)
-	defer c.sess.SetOptions(c.opts)
-	return c.requestLocked(job)
+	defer c.lock(opts)()
+	return c.admit(job, nil)
 }
 
-func (c *Controller) requestLocked(job model.Job) (bool, error) {
+// admit is the one admission: live it is the admission test, pinned the
+// replay of a granted one (see settle).
+func (c *Controller) admit(job model.Job, pin *[][]int) (bool, error) {
 	if job.Name == "" {
 		return false, errors.New("admission: job needs a name")
 	}
@@ -159,44 +216,26 @@ func (c *Controller) requestLocked(job model.Job) (bool, error) {
 	if err := c.sess.ValidateJob(&job); err != nil {
 		return false, fmt.Errorf("admission: %w", err)
 	}
-	ok, err := c.decide(job)
-	if err != nil || !ok {
-		return ok, err
+	var ok bool
+	var err error
+	if pin == nil && c.policy == Synthesized {
+		ok, err = c.admitSynthesized(job)
+	} else {
+		c.sess.Admit(job)
+		ok, err = c.settle(pin, true)
 	}
-	c.sess.Commit()
-	c.index[job.Name] = c.sess.Jobs() - 1
-	return true, nil
+	if ok {
+		c.index[job.Name] = c.sess.Jobs() - 1
+	}
+	return ok, err
 }
 
-// decide stages the admission trial and leaves the session staged at the
-// admitted configuration on true, rolled back on false/error.
-func (c *Controller) decide(job model.Job) (bool, error) {
-	if c.policy == Synthesized {
-		return c.decideSynthesized(job)
-	}
-	c.sess.Admit(job)
-	if err := c.assign(); err != nil {
-		c.sess.Rollback()
-		return false, fmt.Errorf("admission: %w", err)
-	}
-	ok, err := c.sess.Schedulable()
-	if err != nil {
-		c.sess.Rollback()
-		return false, fmt.Errorf("admission: %w", err)
-	}
-	if !ok {
-		c.sess.Rollback()
-		return false, nil
-	}
-	return true, nil
-}
-
-// decideSynthesized searches for a schedulable assignment with Audsley's
+// admitSynthesized searches for a schedulable assignment with Audsley's
 // algorithm, keeping the submitted assignment as the fallback: Audsley is
 // optimal per processor but heuristic end-to-end, so it can miss
 // assignments - including the one the caller provided. Every trial
 // evaluation re-converges only the cone of the priorities that moved.
-func (c *Controller) decideSynthesized(job model.Job) (bool, error) {
+func (c *Controller) admitSynthesized(job model.Job) (bool, error) {
 	cp := c.sess.Snapshot()
 	c.sess.Admit(job)
 	// One converge up front surfaces validation errors before the search
@@ -233,20 +272,13 @@ func (c *Controller) decideSynthesized(job model.Job) (bool, error) {
 	if ok {
 		// Audsley's final full verification converged the session at the
 		// found assignment; the staged state is the admitted one.
+		c.sess.Commit()
 		return true, nil
 	}
 	// Fallback: retry with the submitted priorities.
 	c.sess.Restore(cp)
 	c.sess.Admit(job)
-	ok, err = c.sess.Schedulable()
-	if err != nil {
-		c.sess.Rollback()
-		return false, fmt.Errorf("admission: %w", err)
-	}
-	if !ok {
-		c.sess.Rollback()
-	}
-	return ok, nil
+	return c.settle(nil, true)
 }
 
 // Remove drops a job by name and reports whether it was present and
@@ -267,22 +299,18 @@ func (c *Controller) Remove(name string) bool {
 // shrink itself is always sound): the removal commits with a stale
 // committed result, which the next Bounds repairs.
 func (c *Controller) RemoveErr(name string) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removeLocked(name)
+	return c.RemoveOpts(name, c.opts)
 }
 
 // RemoveOpts is RemoveErr with one-shot execution options for this
-// decision, mirroring RequestOpts.
+// decision, as RequestOpts.
 func (c *Controller) RemoveOpts(name string, opts analysis.Options) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sess.SetOptions(opts)
-	defer c.sess.SetOptions(c.opts)
-	return c.removeLocked(name)
+	defer c.lock(opts)()
+	return c.remove(name, nil)
 }
 
-func (c *Controller) removeLocked(name string) (bool, error) {
+// remove is the one removal (see settle).
+func (c *Controller) remove(name string, pin *[][]int) (bool, error) {
 	k, ok := c.index[name]
 	if !ok {
 		return false, nil
@@ -293,18 +321,12 @@ func (c *Controller) removeLocked(name string) (bool, error) {
 		c.sess.Rollback()
 		return true, fmt.Errorf("admission: %w", err)
 	}
-	if err := c.assign(); err != nil {
+	if _, err := c.settle(pin, false); err != nil {
 		// A failed reassignment must not commit the removal with stale or
-		// partially-mutated priorities: unwind to the committed state and
-		// keep the job admitted.
-		c.sess.Rollback()
-		return true, fmt.Errorf("admission: %w", err)
+		// partially-mutated priorities: settle unwound to the committed
+		// state and the job stays admitted.
+		return true, err
 	}
-	// Keep the resident state warm across the shrink; an engine error here
-	// cannot veto the removal, the commit below just leaves the committed
-	// result stale for Bounds to repair.
-	_, _ = c.sess.Converge()
-	c.sess.Commit()
 	delete(c.index, name)
 	for n, i := range c.index {
 		if i > k {
@@ -314,29 +336,20 @@ func (c *Controller) removeLocked(name string) (bool, error) {
 	return true, nil
 }
 
-// Update re-decides an admitted job in place: the record under job.Name
-// is replaced (same hop count) and the new configuration admitted only
-// if every deadline still holds. present reports whether the name was
-// admitted at all; ok the decision. On rejection or error the admitted
-// set is unchanged. Under the Synthesized policy the update keeps the
-// submitted priorities — no Audsley re-synthesis on this path.
-func (c *Controller) Update(job model.Job) (present, ok bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.updateLocked(job)
-}
-
-// UpdateOpts is Update with one-shot execution options for this decision,
-// mirroring RequestOpts.
+// UpdateOpts re-decides an admitted job in place under one-shot execution
+// options, as RequestOpts: the record under job.Name is replaced (same hop
+// count) and the new configuration admitted only if every deadline still
+// holds. present reports whether the name was admitted at all; ok the
+// decision. On rejection or error the admitted set is unchanged. Under
+// the Synthesized policy the update keeps the submitted priorities — no
+// Audsley re-synthesis on this path.
 func (c *Controller) UpdateOpts(job model.Job, opts analysis.Options) (present, ok bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sess.SetOptions(opts)
-	defer c.sess.SetOptions(c.opts)
-	return c.updateLocked(job)
+	defer c.lock(opts)()
+	return c.update(job, nil)
 }
 
-func (c *Controller) updateLocked(job model.Job) (present, ok bool, err error) {
+// update is the one in-place update (see settle).
+func (c *Controller) update(job model.Job, pin *[][]int) (present, ok bool, err error) {
 	if job.Name == "" {
 		return false, false, errors.New("admission: job needs a name")
 	}
@@ -351,21 +364,8 @@ func (c *Controller) updateLocked(job model.Job) (present, ok bool, err error) {
 		c.sess.Rollback()
 		return true, false, fmt.Errorf("admission: %w", err)
 	}
-	if err := c.assign(); err != nil {
-		c.sess.Rollback()
-		return true, false, fmt.Errorf("admission: %w", err)
-	}
-	ok, err = c.sess.Schedulable()
-	if err != nil {
-		c.sess.Rollback()
-		return true, false, fmt.Errorf("admission: %w", err)
-	}
-	if !ok {
-		c.sess.Rollback()
-		return true, false, nil
-	}
-	c.sess.Commit()
-	return true, true, nil
+	ok, err = c.settle(pin, true)
+	return true, ok, err
 }
 
 // Bounds returns the current worst-case response bounds per admitted job,
@@ -377,8 +377,7 @@ func (c *Controller) Bounds() ([]model.Ticks, error) {
 }
 
 // NamedBounds is Bounds plus the admitted job names, in the committed
-// system's job order, taken in one consistent snapshot (interleaving
-// Admitted and Bounds calls could see different admitted sets).
+// system's job order, taken in one consistent snapshot.
 func (c *Controller) NamedBounds() ([]string, []model.Ticks, error) {
 	c.mu.RLock()
 	res, err := c.sess.Result()

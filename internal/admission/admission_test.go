@@ -51,12 +51,22 @@ func TestAdmitUntilFull(t *testing.T) {
 			t.Fatalf("admitted job %s misses: %d > %d", sys.JobName(k), w, sys.Jobs[k].Deadline)
 		}
 	}
-	if len(c.Admitted()) != admitted {
-		t.Fatalf("Admitted() length %d != %d", len(c.Admitted()), admitted)
+	if c.Len() != admitted {
+		t.Fatalf("Len() %d != %d", c.Len(), admitted)
 	}
 }
 
 func name(i int) string { return string(rune('a' + i)) }
+
+// admitted returns the admitted job names in admission order.
+func admitted(t *testing.T, c *Controller) []string {
+	t.Helper()
+	names, _, err := c.NamedBounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
 
 func TestRemoveFreesCapacity(t *testing.T) {
 	c := New(twoProcs(model.SPP), KeepPriorities)
@@ -103,7 +113,7 @@ func TestDuplicateAndValidation(t *testing.T) {
 		Subjobs: []model.Subjob{{Proc: 0, Exec: 1}}}); err == nil {
 		t.Fatal("invalid job accepted")
 	}
-	if len(c.Admitted()) != 1 {
+	if c.Len() != 1 {
 		t.Fatal("failed request mutated state")
 	}
 }
@@ -224,7 +234,7 @@ func TestConcurrentBounds(t *testing.T) {
 					t.Error("Bounds lost the persistent job")
 					return
 				}
-				_ = c.Admitted()
+				_ = c.Len()
 				_ = c.System()
 			}
 		}()
@@ -273,7 +283,7 @@ func TestRemoveErrRollsBackFailedReassignment(t *testing.T) {
 	}
 
 	// The admitted set, the bounds, and the index must all be untouched.
-	if got := c.Admitted(); !slices.Equal(got, names) {
+	if got := admitted(t, c); !slices.Equal(got, names) {
 		t.Fatalf("admitted after failed removal = %v, want %v", got, names)
 	}
 	after, err := c.Bounds()
@@ -289,7 +299,7 @@ func TestRemoveErrRollsBackFailedReassignment(t *testing.T) {
 		if ok, err := c.RemoveErr(n); err != nil || !ok {
 			t.Fatalf("follow-up remove %s: ok=%v err=%v", n, ok, err)
 		}
-		if got := c.Admitted(); !slices.Equal(got, names[i+1:]) {
+		if got := admitted(t, c); !slices.Equal(got, names[i+1:]) {
 			t.Fatalf("after removing %s: admitted = %v, want %v", n, got, names[i+1:])
 		}
 	}
@@ -313,7 +323,7 @@ func TestRemoveErrRollsBackFailedSessionRemove(t *testing.T) {
 	}
 	// The failed stage must not leak: the next request decides on clean
 	// state and the committed set is intact.
-	if got := c.Admitted(); !slices.Equal(got, []string{"a"}) {
+	if got := admitted(t, c); !slices.Equal(got, []string{"a"}) {
 		t.Fatalf("admitted = %v, want [a]", got)
 	}
 	if ok, err := c.Request(job("b", 100, 2, 1, 0, 200)); err != nil || !ok {
@@ -356,8 +366,8 @@ func TestPerRequestOptions(t *testing.T) {
 	if ok, err := c.RequestOpts(job("a", 100, 2, 0, 0, 200), analysis.Options{Context: ctx}); err == nil || ok {
 		t.Fatalf("canceled RequestOpts = %v, %v; want error", ok, err)
 	}
-	if got := c.Admitted(); len(got) != 0 {
-		t.Fatalf("failed request mutated state: %v", got)
+	if got := c.Len(); got != 0 {
+		t.Fatalf("failed request mutated state: %d jobs", got)
 	}
 	// The canceled context must not stick to the session.
 	if ok, err := c.Request(job("a", 100, 2, 0, 0, 200)); err != nil || !ok {

@@ -7,13 +7,11 @@ import (
 	"rta/internal/model"
 )
 
-// This file is the store-replay surface of the controller: methods that
-// re-apply operations already decided and committed in a previous
-// process life, without re-running the admission decision. Replay must
-// be deterministic and cheap — in particular, priority-synthesizing
-// policies (DeadlineMonotonic, Audsley) are never re-run; the committed
-// assignment travels with the logged operation as a priority vector and
-// is applied verbatim.
+// This file is the store-replay surface of the controller: operations
+// decided and committed in a previous process life, re-applied through
+// the live implementations with their logged priority vectors pinned
+// (see settle). No verdict is re-decided and no priority policy
+// (DeadlineMonotonic, Audsley) is re-run.
 
 // Priorities returns the committed priority assignment: Priorities()[k][j]
 // is admitted job k's hop-j priority, in committed job order. The serve
@@ -34,158 +32,79 @@ func (c *Controller) Priorities() [][]int {
 	return out
 }
 
-// applyPri stages the logged post-operation priority vector onto the
-// working system. A nil vector means the operation did not move
-// priorities (KeepPriorities, or a policy run that was a no-op).
-func (c *Controller) applyPri(pri [][]int) error {
-	if pri == nil {
-		return nil
-	}
-	return c.sess.Mutate(func(sys *model.System) error {
-		if len(pri) != len(sys.Jobs) {
-			return fmt.Errorf("priority vector covers %d jobs, system has %d", len(pri), len(sys.Jobs))
-		}
-		for k := range sys.Jobs {
-			if len(pri[k]) != len(sys.Jobs[k].Subjobs) {
-				return fmt.Errorf("job %d priority vector has %d hops, job has %d", k, len(pri[k]), len(sys.Jobs[k].Subjobs))
-			}
-			for j := range sys.Jobs[k].Subjobs {
-				sys.Jobs[k].Subjobs[j].Priority = pri[k][j]
-			}
-		}
-		return nil
-	})
-}
-
-// Reinstate re-applies one committed admission: the job is added and the
-// logged priority vector applied with no schedulability decision — the
+// Reinstate re-applies one committed admission: the admission with the
+// logged priority vector pinned, so no schedulability decision runs — the
 // decision was made (and acknowledged) before the operation was logged.
 // Any failure leaves the controller unchanged.
 func (c *Controller) Reinstate(job model.Job, pri [][]int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if job.Name == "" {
-		return errors.New("admission: job needs a name")
-	}
-	if _, dup := c.index[job.Name]; dup {
-		return ErrDuplicate
-	}
-	if err := c.sess.ValidateJob(&job); err != nil {
-		return fmt.Errorf("admission: %w", err)
-	}
-	c.sess.Admit(job)
-	if err := c.applyPri(pri); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	if _, err := c.sess.Converge(); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	c.sess.Commit()
-	c.index[job.Name] = c.sess.Jobs() - 1
-	return nil
+	defer c.lock(c.opts)()
+	_, err := c.admit(job, &pri)
+	return err
 }
 
 // ReinstateAll seeds an empty controller from a snapshot's admitted set:
 // every job is staged (with its snapshotted priorities baked into the
 // records) and the batch converges once — one fixed point for the whole
 // set instead of one per job. On error the controller stays empty.
-func (c *Controller) ReinstateAll(jobs []model.Job) error {
+func (c *Controller) ReinstateAll(jobs []model.Job) (err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.index) != 0 {
 		return errors.New("admission: ReinstateAll needs an empty controller")
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
-	names := make(map[string]struct{}, len(jobs))
+	defer func() {
+		if err != nil {
+			clear(c.index)
+		}
+	}()
 	for i := range jobs {
-		if jobs[i].Name == "" {
-			c.sess.Rollback()
-			return fmt.Errorf("admission: snapshot job %d has no name", i)
+		_, dup := c.index[jobs[i].Name]
+		switch {
+		case jobs[i].Name == "":
+			err = fmt.Errorf("admission: snapshot job %d has no name", i)
+		case dup:
+			err = fmt.Errorf("admission: snapshot repeats job %q", jobs[i].Name)
+		default:
+			if err = c.sess.ValidateJob(&jobs[i]); err != nil {
+				err = fmt.Errorf("admission: snapshot job %q: %w", jobs[i].Name, err)
+			}
 		}
-		if _, dup := names[jobs[i].Name]; dup {
+		if err != nil {
 			c.sess.Rollback()
-			return fmt.Errorf("admission: snapshot repeats job %q", jobs[i].Name)
+			return err
 		}
-		names[jobs[i].Name] = struct{}{}
-		if err := c.sess.ValidateJob(&jobs[i]); err != nil {
-			c.sess.Rollback()
-			return fmt.Errorf("admission: snapshot job %q: %w", jobs[i].Name, err)
-		}
+		c.index[jobs[i].Name] = i
 		c.sess.Admit(jobs[i])
 	}
-	if _, err := c.sess.Converge(); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	c.sess.Commit()
-	for i := range jobs {
-		c.index[jobs[i].Name] = i
-	}
-	return nil
+	// The records carry their priorities: the pin moves none.
+	_, err = c.settle(new([][]int), true)
+	return err
 }
 
 // ReinstateRemove re-applies one committed removal with its logged
-// post-removal priority vector. The named job must be admitted — a log
-// that removes an absent job is semantically inconsistent and surfaces
-// as an error for the caller to quarantine.
+// post-removal priority vector pinned. The named job must be admitted — a
+// log that removes an absent job is semantically inconsistent and
+// surfaces as an error for the caller to quarantine.
 func (c *Controller) ReinstateRemove(name string, pri [][]int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k, ok := c.index[name]
-	if !ok {
-		return fmt.Errorf("admission: job %q not admitted", name)
-	}
-	if err := c.sess.Remove(k); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	if err := c.applyPri(pri); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	// Mirror the live removal: a convergence error cannot veto a shrink —
-	// the commit stands and the next Bounds repairs the stale result.
-	_, _ = c.sess.Converge()
-	c.sess.Commit()
-	delete(c.index, name)
-	for n, i := range c.index {
-		if i > k {
-			c.index[n] = i - 1
-		}
-	}
-	return nil
+	defer c.lock(c.opts)()
+	present, err := c.remove(name, &pri)
+	return absent(name, present, err)
 }
 
 // ReinstateUpdate re-applies one committed in-place job replacement
-// (same name, same hop count) with its logged priority vector.
+// (same name, same hop count) with its logged priority vector pinned.
 func (c *Controller) ReinstateUpdate(job model.Job, pri [][]int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k, ok := c.index[job.Name]
-	if !ok {
-		return fmt.Errorf("admission: job %q not admitted", job.Name)
+	defer c.lock(c.opts)()
+	present, _, err := c.update(job, &pri)
+	return absent(job.Name, present, err)
+}
+
+// absent turns a replayed operation's missing target into an error.
+func absent(name string, present bool, err error) error {
+	if err == nil && !present {
+		return fmt.Errorf("admission: job %q not admitted", name)
 	}
-	if err := c.sess.ValidateJob(&job); err != nil {
-		return fmt.Errorf("admission: %w", err)
-	}
-	if err := c.sess.Mutate(replaceJob(k, job)); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	if err := c.applyPri(pri); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	if _, err := c.sess.Converge(); err != nil {
-		c.sess.Rollback()
-		return fmt.Errorf("admission: %w", err)
-	}
-	c.sess.Commit()
-	return nil
+	return err
 }
 
 // replaceJob builds the Mutate body that swaps job k's record for a deep

@@ -64,14 +64,15 @@ func (s *Server) flush(id string, seq uint64) {
 }
 
 // logDecision enqueues a committed decision — op with the marshaled job
-// and the committed priorities — and, when one is due, a snapshot of the
-// state it leaves. The caller holds t.logMu, so the snapshot captures
-// exactly the queued prefix. It returns the seq to flush (0: none).
-func (s *Server) logDecision(id string, t *tenant, op store.Op, job *model.Job) uint64 {
+// (admit, update) and the committed priorities — and, when one is due, a
+// snapshot of the state it leaves. The caller holds t.logMu, so the
+// snapshot captures exactly the queued prefix. It returns the seq to
+// flush (0: none).
+func (s *Server) logDecision(id string, t *tenant, op store.Op, job model.Job) uint64 {
 	if s.cfg.Store == nil {
 		return 0
 	}
-	if job != nil {
+	if op.Kind != store.OpRemove {
 		raw, err := json.Marshal(job)
 		if err != nil {
 			s.counters.unlogged.Add(1)
@@ -163,22 +164,15 @@ func (s *Server) replayTenant(rt store.RecoveredTenant) (*tenant, error) {
 			}
 		case store.OpDrop:
 			ctl, spec = nil, nil
-		case store.OpAdmit, store.OpMutate:
+		case store.OpAdmit, store.OpRemove, store.OpMutate:
 			var job model.Job
 			if ctl == nil {
 				err = fmt.Errorf("%s before create", op.Kind)
-			} else if job, err = model.LoadJobLimited(bytes.NewReader(op.Job), s.cfg.Limits); err == nil {
-				if op.Kind == store.OpAdmit {
-					err = ctl.Reinstate(job, op.Pri)
-				} else {
-					err = ctl.ReinstateUpdate(job, op.Pri)
-				}
+			} else if op.Kind != store.OpRemove {
+				job, err = model.LoadJobLimited(bytes.NewReader(op.Job), s.cfg.Limits)
 			}
-		case store.OpRemove:
-			if ctl == nil {
-				err = fmt.Errorf("remove before create")
-			} else {
-				err = ctl.ReinstateRemove(op.Name, op.Pri)
+			if err == nil {
+				_, _, err = apply(ctl, op, job, opts, true)
 			}
 		default:
 			err = fmt.Errorf("unknown operation kind %q", op.Kind)

@@ -150,12 +150,18 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 // a live server — or, with failUnder set, only those of files under that
 // directory (one tenant's bad volume). slowUs additionally makes every
 // successful write sleep that many microseconds, widening the
-// concurrency windows the race regression tests below aim at.
+// concurrency windows the race regression tests below aim at; a stored
+// gate stalls the next write until the test releases it.
 type flakyFS struct {
 	fail      atomic.Bool
 	failUnder atomic.Pointer[string]
 	slowUs    atomic.Int64
+	gate      atomic.Pointer[writeGate]
 }
+
+// writeGate stalls one write: the write closes entered, then waits for
+// release to close.
+type writeGate struct{ entered, release chan struct{} }
 
 func (f *flakyFS) failing(path string) bool {
 	dir := f.failUnder.Load()
@@ -223,6 +229,10 @@ type flakyFile struct {
 }
 
 func (w *flakyFile) Write(p []byte) (int, error) {
+	if g := w.fs.gate.Swap(nil); g != nil {
+		close(g.entered)
+		<-g.release
+	}
 	if w.fs.failing(w.path) {
 		return 0, errFlaky
 	}
@@ -306,6 +316,58 @@ func TestStoreFaultDegradesNotFails(t *testing.T) {
 	var doc boundsResponse
 	if json.Unmarshal(post, &doc) != nil || len(doc.Jobs) != 2 {
 		t.Fatalf("recovered job set = %s, want both before and during", post)
+	}
+}
+
+// TestAdmitJobsCountIsOwnDecision: an admit's "jobs" is the admitted-set
+// size its own decision left. The first admit's log write stalls after
+// it committed and released the tenant lock; a second admit to the same
+// tenant commits in that window, and the first response must still
+// report one job, not the two its handler would see after the flush.
+func TestAdmitJobsCountIsOwnDecision(t *testing.T) {
+	fs := &flakyFS{}
+	st := openStore(t, t.TempDir(), func(c *store.Config) { c.FS = fs; c.SnapshotEvery = -1 })
+	s, ts := newTestServer(t, Config{Store: st})
+	defer s.Close()
+	createTenant(t, ts.URL, "acme")
+	h := s.Handler()
+	admit := func(name string, out chan<- admitResponse) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/tenants/acme/admit",
+			bytes.NewReader(jobJSON(t, name, 10, 10_000))))
+		var adm admitResponse
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &adm) != nil || !adm.Admitted {
+			t.Errorf("admit %s: status %d: %s", name, w.Code, w.Body.Bytes())
+		}
+		out <- adm
+	}
+
+	gate := &writeGate{entered: make(chan struct{}), release: make(chan struct{})}
+	fs.gate.Store(gate)
+	first, second := make(chan admitResponse, 1), make(chan admitResponse, 1)
+	go admit("first", first)
+	select {
+	case <-gate.entered: // first committed; its flush is stalled in the write
+	case <-time.After(10 * time.Second):
+		t.Fatal("first admit never reached the log")
+	}
+	go admit("second", second)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var doc boundsResponse
+		if _, raw := getBounds(t, ts.URL, "acme"); json.Unmarshal(raw, &doc) == nil && len(doc.Jobs) == 2 {
+			break // second committed
+		}
+		if time.Now().After(deadline) {
+			close(gate.release)
+			t.Fatal("second admit never committed")
+		}
+	}
+	close(gate.release)
+	if got := (<-first).Jobs; got != 1 {
+		t.Fatalf("first admit reported jobs=%d, want 1: the size its own decision left", got)
+	}
+	if got := (<-second).Jobs; got != 2 {
+		t.Fatalf("second admit reported jobs=%d, want 2", got)
 	}
 }
 

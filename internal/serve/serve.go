@@ -387,34 +387,64 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, map[string]any{"dropped": id})
 }
 
-// decide runs one decision on tenant t under its logMu. commit applies
-// the decision to the session and returns the operation to log, with the
-// job to marshal into it; an empty Kind means nothing committed. The
-// operation is enqueued before the lock is released and flushed before
-// decide returns, so before the caller's acknowledgment. decide reports
-// false, having answered, when t was dropped or evicted after the handler
-// looked it up (404) or the decision failed.
-func (s *Server) decide(w http.ResponseWriter, r *http.Request, t *tenant, commit func() (store.Op, *model.Job, error)) bool {
+// decide runs op, one decision, on tenant t under its logMu (see apply;
+// job is ignored for a removal). A committed op is enqueued before the
+// lock is released and flushed before decide returns, so before the
+// caller's acknowledgment; jobs is the admitted-set size this decision
+// left, read in the same critical section. decide reports done false,
+// having answered, when t was dropped or evicted after the handler looked
+// it up (404) or the decision failed.
+func (s *Server) decide(w http.ResponseWriter, r *http.Request, t *tenant, op store.Op, job model.Job) (present, ok bool, jobs int, done bool) {
 	id := r.PathValue("tenant")
 	start := time.Now()
 	t.logMu.Lock()
 	if t.gone {
 		t.logMu.Unlock()
 		s.replyErr(w, http.StatusNotFound, "unknown tenant %q", id)
-		return false
+		return false, false, 0, false
 	}
-	op, job, err := commit()
+	present, ok, err := apply(t.ctl, op, job, s.decisionOpts(r), false)
 	var seq uint64
-	if err == nil && op.Kind != "" {
+	if err == nil && ok {
 		seq = s.logDecision(id, t, op, job)
 	}
+	jobs = t.ctl.Len()
 	t.logMu.Unlock()
 	s.flush(id, seq)
 	s.decHist.observe(time.Since(start))
 	if err != nil {
 		s.decisionError(w, r, err)
+		return false, false, 0, false
 	}
-	return err == nil
+	return present, ok, jobs, true
+}
+
+// apply is the one mapping from an operation kind to its controller call,
+// shared by the decision handlers and log replay. Live, the decision runs
+// under opts and the controller's policy and verdict decide; ok reports
+// whether it committed. Replayed, op.Pri is pinned and the operation
+// commits (it was decided before it was logged), or errors.
+func apply(ctl *admission.Controller, op store.Op, job model.Job, opts analysis.Options, replay bool) (present, ok bool, err error) {
+	switch op.Kind {
+	case store.OpAdmit:
+		if replay {
+			return true, true, ctl.Reinstate(job, op.Pri)
+		}
+		ok, err = ctl.RequestOpts(job, opts)
+		return true, ok, err
+	case store.OpRemove:
+		if replay {
+			return true, true, ctl.ReinstateRemove(op.Name, op.Pri)
+		}
+		present, err = ctl.RemoveOpts(op.Name, opts)
+		return present, present, err
+	case store.OpMutate:
+		if replay {
+			return true, true, ctl.ReinstateUpdate(job, op.Pri)
+		}
+		return ctl.UpdateOpts(job, opts)
+	}
+	return false, false, fmt.Errorf("unknown operation kind %q", op.Kind)
 }
 
 // admitResponse is the admission-decision body.
@@ -437,13 +467,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var ok bool
-	if !s.decide(w, r, t, func() (store.Op, *model.Job, error) {
-		if ok, err = t.ctl.RequestOpts(job, s.decisionOpts(r)); err != nil || !ok {
-			return store.Op{}, nil, err
-		}
-		return store.Op{Kind: store.OpAdmit}, &job, nil
-	}) {
+	_, ok, jobs, done := s.decide(w, r, t, store.Op{Kind: store.OpAdmit}, job)
+	if !done {
 		return
 	}
 	if ok {
@@ -451,7 +476,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.counters.admitsDenied.Add(1)
 	}
-	s.reply(w, http.StatusOK, admitResponse{Admitted: ok, Jobs: len(t.ctl.Admitted())})
+	s.reply(w, http.StatusOK, admitResponse{Admitted: ok, Jobs: jobs})
 }
 
 // removeRequest / removeResponse are the removal bodies.
@@ -475,15 +500,9 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusBadRequest, "removal body must be {\"name\": \"...\"}")
 		return
 	}
-	var present bool
-	if !s.decide(w, r, t, func() (store.Op, *model.Job, error) {
-		// On error the controller rolled back; the job is still admitted.
-		var err error
-		if present, err = t.ctl.RemoveOpts(req.Name, s.decisionOpts(r)); err != nil || !present {
-			return store.Op{}, nil, err
-		}
-		return store.Op{Kind: store.OpRemove, Name: req.Name}, nil, nil
-	}) {
+	// On error the controller rolled back; the job is still admitted.
+	present, _, _, done := s.decide(w, r, t, store.Op{Kind: store.OpRemove, Name: req.Name}, model.Job{})
+	if !done {
 		return
 	}
 	if present {
@@ -513,13 +532,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var present, ok bool
-	if !s.decide(w, r, t, func() (store.Op, *model.Job, error) {
-		if present, ok, err = t.ctl.UpdateOpts(job, s.decisionOpts(r)); err != nil || !present || !ok {
-			return store.Op{}, nil, err
-		}
-		return store.Op{Kind: store.OpMutate, Name: job.Name}, &job, nil
-	}) {
+	present, ok, _, done := s.decide(w, r, t, store.Op{Kind: store.OpMutate, Name: job.Name}, job)
+	if !done {
 		return
 	}
 	if !present {
@@ -591,7 +605,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ntenants := len(s.tenants)
 	jobs := 0
 	for _, t := range s.tenants {
-		jobs += len(t.ctl.Admitted())
+		jobs += t.ctl.Len()
 	}
 	s.mu.RUnlock()
 
