@@ -443,9 +443,7 @@ func (st *state) computeSubjob(r model.SubjobRef) {
 	// Backlog bound: earliest possible arrivals vs latest completions.
 	hop.Backlog = -1
 	if dl := finiteTimes(hop.DepLate); len(dl) == len(hop.ArrEarly) {
-		if b, ok := curve.MaxVerticalDeviation(curve.StaircaseIn(sc, hop.ArrEarly, 1), curve.StaircaseIn(sc, dl, 1)); ok {
-			hop.Backlog = int(b)
-		}
+		hop.Backlog = int(curve.MaxBacklog(hop.ArrEarly, dl))
 	}
 
 	// Equation (12): local response bound for this hop.

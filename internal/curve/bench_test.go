@@ -87,3 +87,84 @@ func BenchmarkCompletionTimesLarge(b *testing.B) {
 		f.CompletionTimes(2, 2000)
 	}
 }
+
+// The kernels below evaluate one curve at every breakpoint of another; they
+// run against a warm Scratch so ns/op measures the walk, not the allocator.
+// Results go to package-level sinks so the calls cannot be optimized away.
+var (
+	sinkPL    pl
+	sinkCurve *Curve
+	sinkValue Value
+)
+
+func BenchmarkMinLowerLarge(b *testing.B) {
+	f := benchStaircase(4000, 1).f
+	g := benchStaircase(4000, 2).f
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPL = f.minLowerIn(sc, g)
+		sc.Reset()
+	}
+}
+
+func BenchmarkComposeMonotoneLarge(b *testing.B) {
+	f := benchStaircase(2000, 3).f
+	g := Utilization(benchStaircase(4000, 4)).f
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPL = composeMonotone(sc, f, g)
+		sc.Reset()
+	}
+}
+
+func BenchmarkLowerServiceNPLarge(b *testing.B) {
+	hp := Utilization(benchStaircase(2000, 5))
+	ni := NewNPInterference(SubResidual(nil, hp), SubResidual(nil, hp))
+	demand := benchStaircase(4000, 6)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCurve = ni.LowerServiceNP(sc, 2, demand)
+		sc.Reset()
+	}
+}
+
+func BenchmarkComposeFCFSLarge(b *testing.B) {
+	demand := benchStaircase(2000, 7)
+	total := Sum(demand, benchStaircase(2000, 8))
+	util := Utilization(total)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCurve = ComposeFCFSIn(sc, demand, total, util, false)
+		sinkCurve = ComposeFCFSIn(sc, demand, total, util, true)
+		sc.Reset()
+	}
+}
+
+// benchBacklog returns 4,000 release times and the completion times of a
+// processor serving them at two ticks per instance.
+func benchBacklog() (arr, dep []Time) {
+	arr = benchStaircase(4000, 9).JumpTimes(1)
+	dep = Utilization(Staircase(arr, 2)).CompletionTimes(2, len(arr))
+	return arr, dep
+}
+
+func BenchmarkBacklogLarge(b *testing.B) {
+	arr, dep := benchBacklog()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkValue = MaxBacklog(arr, dep)
+	}
+}

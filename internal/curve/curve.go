@@ -230,7 +230,7 @@ func (c *Curve) FloorDiv(tau Value) *Curve {
 		panic("curve: FloorDiv with non-positive execution time")
 	}
 	var jumps []Time
-	cur := inverseCursor{f: &c.f}
+	cur := newInverseCursor(c.f)
 	for m := Value(1); ; m++ {
 		t := cur.inverse(m * tau)
 		if IsInf(t) {
@@ -260,7 +260,7 @@ func (c *Curve) FloorDiv(tau Value) *Curve {
 // service curve. Entries are Inf for instances that are never completed.
 func (c *Curve) CompletionTimes(tau Value, n int) []Time {
 	out := make([]Time, n)
-	cur := inverseCursor{f: &c.f}
+	cur := newInverseCursor(c.f)
 	for m := 0; m < n; m++ {
 		out[m] = cur.inverse(Value(m+1) * tau)
 	}
@@ -271,16 +271,20 @@ func (c *Curve) CompletionTimes(tau Value, n int) []Time {
 // of levels in amortized O(1) per query: because curve values are
 // monotone, the breakpoint index only ever moves forward, so a whole
 // sweep over n levels costs O(n + breakpoints) instead of a fresh binary
-// search per level.
+// search per level. Like evalCursor it holds the breakpoints by value.
+// The function must be non-decreasing with segment slopes in {0, 1}.
 type inverseCursor struct {
-	f *pl
-	i int // first index with pts[i].Y >= previous query level
+	pts  []Point
+	tail int64
+	i    int // first index with pts[i].Y >= previous query level
 }
 
-// inverse returns min{ s >= 0 : f(s) >= y }. Levels must be queried in
-// non-decreasing order.
+func newInverseCursor(f pl) inverseCursor { return inverseCursor{pts: f.pts, tail: f.tail} }
+
+// inverse returns min{ s >= 0 : f(s) >= y }, or Inf when f never reaches
+// y. Levels must be queried in non-decreasing order.
 func (c *inverseCursor) inverse(y Value) Time {
-	pts := c.f.pts
+	pts := c.pts
 	for c.i < len(pts) && pts[c.i].Y < y {
 		c.i++
 	}
@@ -289,7 +293,7 @@ func (c *inverseCursor) inverse(y Value) Time {
 	}
 	if c.i == len(pts) {
 		last := pts[len(pts)-1]
-		if c.f.tail <= 0 {
+		if c.tail <= 0 {
 			return Inf
 		}
 		return last.X + (y - last.Y) // tail slope is 1

@@ -8,7 +8,10 @@ import (
 // — staircase construction, Sum, Min, FloorDiv, Inverse, CompletionTimes
 // — restricted to the documented operand contracts, and checks that every
 // intermediate result satisfies the Curve invariants: compositions of
-// valid operations must never panic or produce an invalid curve. Run with
+// valid operations must never panic or produce an invalid curve. Two more
+// steps check the sweep kernels against their one-shot references: an
+// evalCursor walk against evalRight/evalLeft, and MaxBacklog against
+// MaxVerticalDeviation over the two staircases. Run with
 //
 //	go test -fuzz FuzzCurveOps ./internal/curve
 func FuzzCurveOps(f *testing.F) {
@@ -54,7 +57,7 @@ func FuzzCurveOps(f *testing.F) {
 		}
 		pick := func() *Curve { return pool[int(next())%len(pool)] }
 		for steps := 0; steps < 16 && len(data) > 0; steps++ {
-			switch next() % 5 {
+			switch next() % 7 {
 			case 0:
 				pool = append(pool, check("Sum", Sum(pick(), pick())))
 			case 1:
@@ -92,6 +95,32 @@ func FuzzCurveOps(f *testing.F) {
 					if want := c.Inverse(Value(m+1) * tau); x != want {
 						t.Fatalf("CompletionTimes[%d] = %d, Inverse = %d", m, x, want)
 					}
+				}
+			case 5:
+				// A cursor walk over non-decreasing positions (repeats
+				// allowed) matches the binary-search evaluation.
+				c := pick()
+				cur := newEvalCursor(c.f)
+				x := Time(0)
+				for k := int(next() % 16); k >= 0; k-- {
+					x += Time(next() % 8)
+					if got, want := cur.right(x), c.f.evalRight(x); got != want {
+						t.Fatalf("cursor right(%d) = %d, evalRight = %d on %v", x, got, want, c)
+					}
+					if got, want := cur.left(x), c.f.evalLeft(x); got != want {
+						t.Fatalf("cursor left(%d) = %d, evalLeft = %d on %v", x, got, want, c)
+					}
+				}
+			case 6:
+				// The backlog count equals the staircases' largest gap;
+				// completions may include instances that never complete.
+				arr, dep := pick().JumpTimes(1), pick().JumpTimes(1)
+				for k := next() % 3; k > 0; k-- {
+					dep = append(dep, Inf)
+				}
+				want, _ := MaxVerticalDeviation(Staircase(arr, 1), Staircase(dep, 1))
+				if got := MaxBacklog(arr, dep); got != want {
+					t.Fatalf("MaxBacklog(%v, %v) = %d, MaxVerticalDeviation = %d", arr, dep, got, want)
 				}
 			}
 			if len(pool) > 16 {

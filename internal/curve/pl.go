@@ -115,6 +115,57 @@ func (f pl) evalLeft(t Time) Value {
 	return f.evalRight(t)
 }
 
+// evalCursor evaluates f at a non-decreasing sequence of positions t >= 0
+// in amortized O(1) per query: the index of the last breakpoint at or
+// before t only moves forward, so a walk over n sorted positions costs
+// O(n + breakpoints) instead of a binary search per position. It stops at
+// the same index lastIdxAtOrBefore finds, so right and left return exactly
+// what evalRight and evalLeft do. Like sumCursor it holds the breakpoints
+// by value, so a cursor over a pl parameter keeps it off the heap.
+type evalCursor struct {
+	pts  []Point
+	tail int64
+	i    int // last index with pts[i].X <= the latest query position
+}
+
+func newEvalCursor(f pl) evalCursor { return evalCursor{pts: f.pts, tail: f.tail} }
+
+// seek moves the cursor to the last breakpoint with X <= t.
+func (c *evalCursor) seek(t Time) {
+	for c.i+1 < len(c.pts) && c.pts[c.i+1].X <= t {
+		c.i++
+	}
+}
+
+// right returns f(t); see evalRight.
+func (c *evalCursor) right(t Time) Value {
+	c.seek(t)
+	p := c.pts[c.i]
+	if c.i+1 < len(c.pts) {
+		q := c.pts[c.i+1]
+		slope := (q.Y - p.Y) / (q.X - p.X)
+		return p.Y + slope*(t-p.X)
+	}
+	return p.Y + c.tail*(t-p.X)
+}
+
+// left returns the left limit of f at t; see evalLeft.
+func (c *evalCursor) left(t Time) Value {
+	if t <= 0 {
+		return c.right(0)
+	}
+	c.seek(t)
+	p := c.pts[c.i]
+	if p.X == t {
+		// Use the first point at X == t: it carries the left limit.
+		if c.i > 0 && c.pts[c.i-1].X == t {
+			return c.pts[c.i-1].Y
+		}
+		return p.Y
+	}
+	return c.right(t)
+}
+
 // canon normalises a list of points produced by an operation into a
 // canonical heap-backed pl; see canonIn.
 func canon(pts []Point, tail int64) pl { return canonIn(nil, pts, tail) }
@@ -782,10 +833,11 @@ func (f pl) minLowerIn(sc *Scratch, g pl) pl {
 	}
 	// Expand jumps: at a jump of either function emit a left-limit sample
 	// followed by a right-value sample.
+	fc, gc := newEvalCursor(f), newEvalCursor(g)
 	for _, xp := range xs {
 		x := xp.X
-		fl, fr := f.evalLeft(x), f.evalRight(x)
-		gl, gr := g.evalLeft(x), g.evalRight(x)
+		fl, fr := fc.left(x), fc.right(x)
+		gl, gr := gc.left(x), gc.right(x)
 		if x > 0 && (fl != fr || gl != gr) {
 			process(sample{x, fl, gl})
 		}
@@ -833,33 +885,19 @@ func composeMonotone(sc *Scratch, f, g pl) pl {
 	// pointers instead of a sort. The candidate buffer aliases point slots
 	// of the arena (X coordinates only), like mergedXs.
 	tbuf := sc.take(len(f.pts))
-	gInv := func(y Value) (Time, bool) {
-		if g.pts[0].Y >= y {
-			return 0, true
-		}
-		i := sort.Search(len(g.pts), func(i int) bool { return g.pts[i].Y >= y })
-		if i == len(g.pts) {
-			last := g.pts[len(g.pts)-1]
-			if g.tail <= 0 {
-				return 0, false
-			}
-			return last.X + (y - last.Y), true
-		}
-		p, q := g.pts[i-1], g.pts[i]
-		if q.X > p.X && q.Y-p.Y == q.X-p.X {
-			return p.X + (y - p.Y), true
-		}
-		return q.X, true
-	}
+	gInv := newInverseCursor(g)
 	for _, p := range f.pts {
 		// f changes slope at domain position p.X; include its preimage.
-		if t, ok := gInv(p.X); ok {
+		if t := gInv.inverse(p.X); !IsInf(t) {
 			tbuf = append(tbuf, Point{X: t})
 		}
 	}
 	pts := sc.take(len(g.pts) + len(tbuf) + 1)
 	var last Time = -1
 	i, j := 0, 0
+	// The merged times increase and g is non-decreasing, so both curves
+	// are evaluated at non-decreasing positions.
+	fc, gc := newEvalCursor(f), newEvalCursor(g)
 	for i < len(g.pts) || j < len(tbuf) {
 		var t Time
 		if j >= len(tbuf) || (i < len(g.pts) && g.pts[i].X <= tbuf[j].X) {
@@ -873,7 +911,7 @@ func composeMonotone(sc *Scratch, f, g pl) pl {
 			continue
 		}
 		last = t
-		pts = append(pts, Point{t, f.evalRight(g.evalRight(t))})
+		pts = append(pts, Point{t, fc.right(gc.right(t))})
 	}
 	// The merge always seeds t = 0: g's first breakpoint sits at x = 0 by
 	// the pl representation invariant.

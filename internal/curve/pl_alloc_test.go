@@ -56,6 +56,9 @@ func TestKernelsAllocationFreeWithScratch(t *testing.T) {
 
 	demand := allocDemand()
 	avail := allocAvail()
+	up, lo := &Curve{demand}, &Curve{avail}
+	arr := up.JumpTimes(1)
+	dep := lo.CompletionTimes(1, len(arr))
 
 	kernels := []struct {
 		name string
@@ -79,6 +82,8 @@ func TestKernelsAllocationFreeWithScratch(t *testing.T) {
 		{"minLowerIn", func() { avail.minLowerIn(sc, demand) }},
 		{"composeMonotone", func() { composeMonotone(sc, avail, avail) }},
 		{"shiftFlat", func() { demand.shiftFlat(sc, 3) }},
+		{"MaxVerticalDeviation", func() { MaxVerticalDeviation(up, lo) }},
+		{"MaxBacklog", func() { MaxBacklog(arr, dep) }},
 	}
 
 	for _, k := range kernels {

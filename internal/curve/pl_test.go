@@ -183,3 +183,42 @@ func TestMergedXsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalCursorMatchesEval: walking non-decreasing positions through an
+// evalCursor gives exactly evalRight and evalLeft at every position, on
+// non-monotone pls with jumps at x = 0 and elsewhere and tails of every
+// sign, with repeated positions, t = 0 and positions past the last
+// breakpoint.
+func TestEvalCursorMatchesEval(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 2000; trial++ {
+		f := randPL(r, 1+r.Intn(16))
+		if r.Intn(3) == 0 {
+			// Force a jump at x = 0 in front of the drawn function.
+			pts := append([]Point{{0, f.pts[0].Y + Value(r.Intn(9)-4)}}, f.pts...)
+			f = canon(pts, f.tail)
+		}
+		f.check()
+		end := f.pts[len(f.pts)-1].X
+		cur := newEvalCursor(f)
+		x := Time(0)
+		for step := 0; step < 60 && x <= end+20; step++ {
+			if r.Intn(3) > 0 {
+				x += Time(r.Intn(5)) // zero steps repeat a position
+			}
+			// Query left and right in either order at a position.
+			var gotR, gotL Value
+			if r.Intn(2) == 0 {
+				gotR, gotL = cur.right(x), cur.left(x)
+			} else {
+				gotL, gotR = cur.left(x), cur.right(x)
+			}
+			if want := f.evalRight(x); gotR != want {
+				t.Fatalf("trial %d: cursor right(%d) = %d, evalRight = %d (f %v tail %d)", trial, x, gotR, want, f.pts, f.tail)
+			}
+			if want := f.evalLeft(x); gotL != want {
+				t.Fatalf("trial %d: cursor left(%d) = %d, evalLeft = %d (f %v tail %d)", trial, x, gotL, want, f.pts, f.tail)
+			}
+		}
+	}
+}

@@ -85,7 +85,7 @@ func TestInverseCursorMatchesInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 300; trial++ {
 		c := randMonotone(r, 1+r.Intn(12), 160)
-		cur := inverseCursor{f: &c.f}
+		cur := newInverseCursor(c.f)
 		y := Value(0)
 		for step := 0; step < 40; step++ {
 			y += Value(r.Intn(4))

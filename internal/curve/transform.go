@@ -265,10 +265,11 @@ func lowerServiceNP(sc *Scratch, ahat, vhat pl, b Value, demand *Curve) *Curve {
 	dp := demand.f.pts
 	cands := sc.take(len(dp) + 1)
 	cands = append(cands, Point{0, 0})
+	vc := newEvalCursor(vhat)
 	for i := 1; i < len(dp); i++ {
 		p, q := dp[i-1], dp[i]
 		if q.X == p.X && q.Y > p.Y {
-			cands = append(cands, Point{vhat.evalRight(q.X), p.Y})
+			cands = append(cands, Point{vc.right(q.X), p.Y})
 		}
 	}
 	// cands is already sorted: arrival instants increase, vhat is
@@ -410,15 +411,17 @@ func ComposeFCFS(demand, total, util *Curve, upper bool) *Curve {
 
 // ComposeFCFSIn is ComposeFCFS with the result carved from sc (nil =
 // heap); an arena-backed result must be Cloned to outlive the checkout.
-// The utilization inverse is evaluated with a forward cursor - the query
-// levels G(x_j) are non-decreasing in x_j - so the whole composition is a
-// single linear sweep instead of a binary search per jump.
+// The workload G is read at the increasing jump times x_j and the
+// utilization inverse at the non-decreasing levels G(x_j), both with
+// forward cursors, so the whole composition is a single linear sweep
+// instead of two binary searches per jump.
 func ComposeFCFSIn(sc *Scratch, demand, total, util *Curve, upper bool) *Curve {
 	dp := demand.f.pts
 	pts := sc.take(2*len(dp) + 1)
 	pts = append(pts, Point{0, 0})
 	level := Value(0)
-	inv := inverseCursor{f: &util.f}
+	gc := newEvalCursor(total.f)
+	inv := newInverseCursor(util.f)
 	for i := 1; i < len(dp); i++ {
 		p, q := dp[i-1], dp[i]
 		if q.X != p.X || q.Y <= p.Y {
@@ -430,12 +433,12 @@ func ComposeFCFSIn(sc *Scratch, demand, total, util *Curve, upper bool) *Curve {
 		var y Value
 		if upper {
 			// G(x-): for x = 0 the left limit over the empty past is 0
-			// (EvalLeft would return the post-jump value).
+			// (left would return the post-jump value).
 			if q.X > 0 {
-				y = total.EvalLeft(q.X)
+				y = gc.left(q.X)
 			}
 		} else {
-			y = total.Eval(q.X)
+			y = gc.right(q.X)
 		}
 		theta := inv.inverse(y)
 		if IsInf(theta) {
@@ -466,28 +469,56 @@ func (c *Curve) AddConstIn(sc *Scratch, v Value) *Curve {
 // gap grows without bound (diverging tails). For an arrival upper bound
 // and a departure lower bound of one subjob this is the maximum backlog -
 // the number of instances simultaneously pending - which sizes the
-// subjob's input queue.
+// subjob's input queue; MaxBacklog computes the same number straight from
+// the release and completion times.
 func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
 	if upper.f.tail > lower.f.tail {
 		return 0, false
 	}
 	// The difference is piecewise linear; its maximum sits at a
 	// breakpoint of either curve (evaluating both one-sided limits
-	// handles jumps).
+	// handles jumps). Each curve's breakpoints are sorted, so both curves
+	// are walked with forward cursors.
 	var best Value
 	for _, f := range [2]pl{upper.f, lower.f} {
+		u, l := newEvalCursor(upper.f), newEvalCursor(lower.f)
 		for _, p := range f.pts {
-			if d := upper.f.evalRight(p.X) - lower.f.evalRight(p.X); d > best {
+			if d := u.right(p.X) - l.right(p.X); d > best {
 				best = d
 			}
 			if p.X > 0 {
-				if d := upper.f.evalLeft(p.X) - lower.f.evalLeft(p.X); d > best {
+				if d := u.left(p.X) - l.left(p.X); d > best {
 					best = d
 				}
 			}
 		}
 	}
 	return best, true
+}
+
+// MaxBacklog returns the largest number of instances released but not yet
+// completed at any instant,
+//
+//	max_t ( |{i : arr[i] <= t}| - |{j : dep[j] <= t}| ),
+//
+// for ascending release times arr and ascending completion times dep (an
+// Inf entry never completes). It equals MaxVerticalDeviation over
+// Staircase(arr, 1) and Staircase(dep, 1) without building either curve:
+// between releases the released count is constant and the completed count
+// only grows, so the maximum sits at a release time, and one two-pointer
+// walk over both lists finds it.
+func MaxBacklog(arr, dep []Time) Value {
+	var best Value
+	j := 0
+	for i, t := range arr {
+		for j < len(dep) && dep[j] <= t {
+			j++
+		}
+		if d := Value(i + 1 - j); d > best {
+			best = d
+		}
+	}
+	return best
 }
 
 // MaxHorizontalDeviation returns the largest horizontal distance from the
@@ -503,12 +534,13 @@ func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
 // method panics if it would be, as that indicates an analysis bug.
 func MaxHorizontalDeviation(this, ref *Curve, n int) Time {
 	var d Time
+	dc, rc := newInverseCursor(this.f), newInverseCursor(ref.f)
 	for m := 1; m <= n; m++ {
-		td := this.Inverse(Value(m))
+		td := dc.inverse(Value(m))
 		if IsInf(td) {
 			return Inf
 		}
-		ta := ref.Inverse(Value(m))
+		ta := rc.inverse(Value(m))
 		if IsInf(ta) {
 			panic(fmt.Sprintf("curve: reference staircase has no instance %d", m))
 		}

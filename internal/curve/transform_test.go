@@ -300,3 +300,25 @@ func TestAvailability(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxBacklogMatchesVerticalDeviation: the two-pointer backlog count
+// equals the largest vertical gap between the release and completion
+// staircases, on sorted lists with duplicates, empty lists and Inf
+// completions (instances that never complete).
+func TestMaxBacklogMatchesVerticalDeviation(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 3000; trial++ {
+		_, arr := randStaircase(r, 12, 40, 1)
+		_, dep := randStaircase(r, 12, 60, 1)
+		for k := r.Intn(3); k > 0; k-- {
+			dep = append(dep, Inf)
+		}
+		want, ok := MaxVerticalDeviation(Staircase(arr, 1), Staircase(dep, 1))
+		if !ok {
+			t.Fatalf("trial %d: staircases reported a diverging gap", trial)
+		}
+		if got := MaxBacklog(arr, dep); got != want {
+			t.Fatalf("trial %d: MaxBacklog(%v, %v) = %d, MaxVerticalDeviation = %d", trial, arr, dep, got, want)
+		}
+	}
+}

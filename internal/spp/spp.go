@@ -249,9 +249,7 @@ func analyzeSubjob(sys *model.System, topo *model.Topology, memo *sched.Memo, re
 	// Theorem 2: departures are the instants S first reaches m*tau.
 	dep := svc.CompletionTimes(sj.Exec, len(arr))
 	res.Departure[r.Job][r.Hop] = dep
-	if b, ok := curve.MaxVerticalDeviation(curve.StaircaseIn(sc, arr, 1), curve.StaircaseIn(sc, dep, 1)); ok {
-		res.Backlog[r.Job][r.Hop] = int(b)
-	}
+	res.Backlog[r.Job][r.Hop] = int(curve.MaxBacklog(arr, dep))
 }
 
 // Schedulable reports whether every job meets its end-to-end deadline
