@@ -109,8 +109,12 @@ func body() error {
 		return err
 	}
 
+	// The dossiers render this run's result (method, workers, budgets) and
+	// their own simulation sections; the table shows the simulation only
+	// when asked.
+	showSim := *withSim || *withGantt || *tracePath != ""
 	var simRes *rta.SimResult
-	if *withSim || *withGantt || *tracePath != "" {
+	if showSim || *reportPath != "" || *htmlPath != "" {
 		simRes, err = rta.SimulateOpts(sys, rta.SimOptions{Context: ctx})
 		if err != nil {
 			return err
@@ -123,7 +127,7 @@ func body() error {
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "job\tdeadline\twcrt\twcrt(thm4)\tverdict")
-	if simRes != nil {
+	if showSim {
 		fmt.Fprint(w, "\tsimulated")
 	}
 	fmt.Fprintln(w)
@@ -136,7 +140,7 @@ func body() error {
 		}
 		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s", sys.JobName(k), sys.Jobs[k].Deadline,
 			tick(res.WCRT[k]), tick(res.WCRTSum[k]), verdict)
-		if simRes != nil {
+		if showSim {
 			fmt.Fprintf(w, "\t%d", simRes.WorstResponse(k))
 		}
 		fmt.Fprintln(w)
@@ -156,7 +160,7 @@ func body() error {
 	}
 	if *reportPath != "" {
 		if err := writeFile(*reportPath, func(f *os.File) error {
-			return report.Write(f, sys, report.Options{Title: "Response-time analysis: " + flag.Arg(0)})
+			return report.Write(f, sys, res, simRes, report.Options{Title: "Response-time analysis: " + flag.Arg(0)})
 		}); err != nil {
 			return err
 		}
@@ -164,7 +168,7 @@ func body() error {
 	}
 	if *htmlPath != "" {
 		if err := writeFile(*htmlPath, func(f *os.File) error {
-			return report.WriteHTML(f, sys, report.Options{Title: "Response-time analysis: " + flag.Arg(0)})
+			return report.WriteHTML(f, sys, res, simRes, report.Options{Title: "Response-time analysis: " + flag.Arg(0)})
 		}); err != nil {
 			return err
 		}

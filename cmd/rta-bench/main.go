@@ -21,8 +21,8 @@
 // Each Large benchmark analyzes the deterministic 50x8 job shop of
 // internal/benchsys with one of the engines: the Theorem 4 pipeline per
 // scheduler (serial and with a 4- and 8-worker level pool), the exact
-// all-SPP analysis, and the iterative fixed point (incremental worklist
-// and full-sweep baseline). The AdmissionChurn pair runs one
+// all-SPP analysis, and the iterative engine (on this acyclic system the
+// Theorem 4 sweep plus its step accounting). The AdmissionChurn pair runs one
 // remove/re-admit/reject cycle against the full admitted job shop per
 // op: Warm through the session-backed admission controller, Cold
 // through a reference that re-analyzes the whole trial system per

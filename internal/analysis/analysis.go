@@ -114,11 +114,12 @@ func (r *Result) SchedulableTight(sys *model.System) bool {
 // Options tune how an analysis executes without changing what it
 // computes.
 type Options struct {
-	// Workers bounds the worker pool of the acyclic engines: subjobs whose
-	// prerequisites are done touch disjoint state and are evaluated
-	// concurrently by up to Workers goroutines. Results are field-identical
-	// for every worker count (see resident.sweep). Zero or one selects the
-	// serial sweep; negative selects GOMAXPROCS.
+	// Workers bounds the worker pool of every engine: subjobs (or, under
+	// Iterative, strongly connected components) whose prerequisites are
+	// done touch disjoint state and are evaluated concurrently by up to
+	// Workers goroutines. Results are field-identical for every worker
+	// count (see resident.sweep). Zero or one selects the serial sweep;
+	// negative selects GOMAXPROCS.
 	Workers int
 	// Context cancels the analysis: cancellation is observed between
 	// subjob evaluations, in-flight evaluations drain, and the entry point
@@ -128,10 +129,6 @@ type Options struct {
 	// value is unlimited. Exceeding a ceiling stops the run with a partial
 	// Result and an error wrapping ErrBudgetExceeded.
 	Budget Budget
-	// fullSweep disables the dirty-set worklist of the iterative engine,
-	// re-evaluating every subjob every round. Testing hook: the package
-	// tests assert both modes reach the identical fixed point.
-	fullSweep bool
 }
 
 // Budget caps the resources of a single analysis run. Zero (or negative)
@@ -142,9 +139,12 @@ type Budget struct {
 	// Breakpoints caps the total number of curve breakpoints the run may
 	// materialize across all demand staircases and service bounds.
 	Breakpoints int64
-	// FixedPointSteps caps the number of subjob evaluations of the
-	// Iterative fixed point (across all rounds). The acyclic engines
-	// evaluate each subjob exactly once and ignore it.
+	// FixedPointSteps caps the number of subjob evaluations an Iterative
+	// run makes: one per subjob outside the loops, one per worklist visit
+	// inside them. Exact and Approximate ignore it. Under more than one
+	// worker, which evaluations complete before the trip depends on the
+	// schedule, so a tripped run's partial bounds may differ between worker
+	// counts (each finite bound still equals the converged one).
 	FixedPointSteps int64
 }
 
@@ -176,14 +176,15 @@ func (o Options) limiter() *curve.Limiter {
 	return nil
 }
 
-// catchBudget runs f and intercepts a *curve.BudgetError panic (possibly
-// fault-tagged) raised by a limiter; any other panic keeps unwinding
-// toward the entry-point boundary.
-func catchBudget(f func()) (be *curve.BudgetError) {
+// catchBudget runs f and intercepts a budget panic (possibly
+// fault-tagged): a *curve.BudgetError raised by a limiter or the step
+// ceiling of an iterative run, both wrapping ErrBudgetExceeded; any other
+// panic keeps unwinding toward the entry-point boundary.
+func catchBudget(f func()) (be error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if b, ok := fault.Payload(r).(*curve.BudgetError); ok {
-				be = b
+			if e, ok := fault.Payload(r).(error); ok && errors.Is(e, ErrBudgetExceeded) {
+				be = e
 				return
 			}
 			panic(r)
@@ -223,7 +224,7 @@ func ExactOpts(sys *model.System, opts Options) (res *Result, err error) {
 	case sys.HasResources():
 		return nil, spp.ErrResources
 	}
-	rv, err := analyzeCold(sys, modeExact, opts)
+	rv, err := analyzeCold(sys, modeExact, 0, opts)
 	return rv.res, err
 }
 
@@ -239,7 +240,7 @@ func ApproximateOpts(sys *model.System, opts Options) (res *Result, err error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	rv, err := analyzeCold(sys, modeApprox, opts)
+	rv, err := analyzeCold(sys, modeApprox, 0, opts)
 	return rv.res, err
 }
 
@@ -258,25 +259,25 @@ type state struct {
 	// departure vectors) are final by then, so the cached staircases are
 	// deterministic regardless of which reader resolves them first.
 	demandLo, demandHi []*curve.Curve
-	// arrState guards the lazy arrival resolution of the acyclic engine,
-	// one word per subjob id (see ensureArrivals), rebuilt by every sweep;
-	// nil in iterative mode, where pinIterativeStart materializes every
-	// hop's arrivals up front and re-merges them across rounds instead.
+	// arrState guards the lazy arrival resolution, one word per subjob id
+	// (see ensureArrivals), rebuilt by every sweep. A member of a cyclic
+	// component whose join reads another member is marked resolved by
+	// pinComponent, which pins its arrivals to the iteration's start; its
+	// evaluations then merge them upwards (pullLate).
 	arrState []uint32
 	// resolveMu serializes concurrent resolvers of the same hop in the
 	// parallel engine; the value computed is identical whoever wins.
 	resolveMu []sync.Mutex
-	// arrVer counts the ArrLate merges of each subjob and demandLoVer the
-	// version a cached demandLo was built at; the iterative engine uses
-	// the pair to rebuild a staircase only when its arrivals moved (the
-	// acyclic engines never mutate arrivals, so they ignore both).
-	arrVer, demandLoVer []uint64
 	// memo shares cross-subjob intermediates (prefix interference sums,
 	// FCFS totals) between the policy evaluations of one sweep (set from
-	// the resident's memo). Sound here because the dependency order makes
-	// every input final before any reader runs; the iterative engine
-	// leaves it nil.
+	// the resident's memo). Sound because the component order makes every
+	// input final before any reader outside its component runs; members of
+	// a cyclic component, whose inputs are provisional, evaluate without
+	// it.
 	memo *sched.Memo
+	// fix is the fixed-point bookkeeping of an iterative sweep; nil under
+	// the acyclic engines.
+	fix *fixpoint
 	// lim meters the curve breakpoints the run materializes; nil (no
 	// budget) never trips.
 	lim *curve.Limiter
@@ -297,8 +298,6 @@ func newState(sys *model.System, lim *curve.Limiter) *state {
 	n := len(st.topo.Subjobs())
 	st.demandLo = make([]*curve.Curve, n)
 	st.demandHi = make([]*curve.Curve, n)
-	st.arrVer = make([]uint64, n)
-	st.demandLoVer = make([]uint64, n)
 	for k := range sys.Jobs {
 		st.hops[k] = make([]Hop, len(sys.Jobs[k].Subjobs))
 		for _, j := range st.topo.Sources(k) {
@@ -393,14 +392,22 @@ func finiteTimes(ts []model.Ticks) []model.Ticks {
 	return out
 }
 
-// computeSubjob derives the service bounds, departure bounds and local
-// response of one subjob whose dependencies are resolved.
-func (st *state) computeSubjob(r model.SubjobRef) {
+// computeSubjob derives the service bounds, departure bounds, backlog and
+// local response of one subjob from its current inputs. Outside the loops
+// (cyclic false) the inputs are final: every output is written outright
+// and the policies share the memo. A member of a cyclic component sees
+// provisional inputs instead: it keeps the early departures pinComponent
+// pinned, merges its late departures monotonically (they only grow), and
+// evaluates without the memo (see sched.Memo). It reports whether its
+// service bounds and its late departures moved.
+func (st *state) computeSubjob(r model.SubjobRef, cyclic bool) (svcMoved, depMoved bool) {
 	sys, topo := st.sys, st.topo
 	sj := sys.Subjob(r)
 	hop := &st.hops[r.Job][r.Hop]
+	st.fix.step()
 	// Pull this hop's arrivals from its precedence predecessors (no-op
-	// for sources and hops a co-located reader already resolved).
+	// for sources, cyclic members and hops a co-located reader already
+	// resolved).
 	st.ensureArrivals(r)
 	// Per-evaluation arena: every curve intermediate below is carved from
 	// sc and recycled wholesale; only the stored artifacts (service
@@ -409,36 +416,53 @@ func (st *state) computeSubjob(r model.SubjobRef) {
 	defer curve.PutScratch(sc)
 	// Policy dispatch: the registered policy of the processor's scheduler
 	// derives the service bounds from the cached demand staircases and
-	// (for priority-driven disciplines) the already-final service bounds
-	// of the dependency subjobs — all finished prerequisites. The memo is
-	// safe to hand out here: the dependency order fixes every input a
-	// policy may fold into a shared sum before any reader starts.
+	// (for priority-driven disciplines) the service bounds of the
+	// dependency subjobs — final outside the loops, the current iterate
+	// inside them (nil before a member's first evaluation, which the
+	// policies treat as "assume nothing"; see sched.ServiceContext).
 	ctx := &sched.ServiceContext{
 		Sys: sys, Topo: topo, Ref: r,
 		Demand:  st.demandFn,
 		Service: st.serviceFn,
-		Memo:    st.memo,
 		Scratch: sc,
 	}
-	hop.SvcLo, hop.SvcHi = sched.For(sys.Procs[sj.Proc].Sched).ServiceBounds(ctx)
-	st.lim.Charge(hop.SvcLo, hop.SvcHi)
+	if !cyclic {
+		ctx.Memo = st.memo
+	}
+	svcLo, svcHi := sched.For(sys.Procs[sj.Proc].Sched).ServiceBounds(ctx)
+	st.lim.Charge(svcLo, svcHi)
 
 	n := len(hop.ArrEarly)
-	hop.DepLate = hop.SvcLo.CompletionTimes(sj.Exec, n)
-	hop.DepEarly = hop.SvcHi.CompletionTimes(sj.Exec, n)
-	for i := 0; i < n; i++ {
-		// An instance cannot complete before its own earliest release
-		// plus its execution time; tightening the earliest departures
-		// tightens the next hop's upper arrival bound.
-		if e := hop.ArrEarly[i] + sj.Exec; !curve.IsInf(hop.DepEarly[i]) && hop.DepEarly[i] < e {
-			hop.DepEarly[i] = e
-		}
-		// Bounds must stay ordered even when the instance is never
-		// completed in the lower service bound.
-		if !curve.IsInf(hop.DepLate[i]) && hop.DepLate[i] < hop.DepEarly[i] {
-			hop.DepLate[i] = hop.DepEarly[i]
+	depLate := svcLo.CompletionTimes(sj.Exec, n)
+	if !cyclic {
+		hop.DepEarly = svcHi.CompletionTimes(sj.Exec, n)
+		for i := 0; i < n; i++ {
+			// An instance cannot complete before its own earliest release
+			// plus its execution time; tightening the earliest departures
+			// tightens the next hop's upper arrival bound.
+			if e := hop.ArrEarly[i] + sj.Exec; !curve.IsInf(hop.DepEarly[i]) && hop.DepEarly[i] < e {
+				hop.DepEarly[i] = e
+			}
 		}
 	}
+	for i := 0; i < n; i++ {
+		// Bounds must stay ordered even when the instance is never
+		// completed in the lower service bound.
+		if !curve.IsInf(depLate[i]) && depLate[i] < hop.DepEarly[i] {
+			depLate[i] = hop.DepEarly[i]
+		}
+	}
+	if cyclic {
+		svcMoved = !svcLo.Equal(hop.SvcLo) || !svcHi.Equal(hop.SvcHi)
+		if hop.DepLate == nil {
+			hop.DepLate, depMoved = depLate, true
+		} else {
+			depMoved = mergeLate(hop.DepLate, depLate)
+		}
+	} else {
+		hop.DepLate = depLate
+	}
+	hop.SvcLo, hop.SvcHi = svcLo, svcHi
 
 	// Backlog bound: earliest possible arrivals vs latest completions.
 	hop.Backlog = -1
@@ -462,6 +486,7 @@ func (st *state) computeSubjob(r model.SubjobRef) {
 	// fixed (ensureArrivals), so nothing is pushed downstream here: a
 	// join hop must merge ALL its predecessors' deliveries before the
 	// sync transform runs, and the merge point owns that computation.
+	return svcMoved, depMoved
 }
 
 // result assembles the end-to-end bounds.

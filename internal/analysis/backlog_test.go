@@ -70,8 +70,25 @@ func TestExactBacklogMatchesSimulation(t *testing.T) {
 }
 
 // TestBacklogBoundDominates: the approximate backlog bound covers the
-// simulated maximum queue depth.
+// simulated maximum queue depth, and so does the iterative one on systems
+// with physical and logical loops.
 func TestBacklogBoundDominates(t *testing.T) {
+	check := func(label string, trial int, sys *model.System, res *Result) {
+		t.Helper()
+		got := sim.Run(sys)
+		for k := range sys.Jobs {
+			for j := range sys.Jobs[k].Subjobs {
+				bound := res.Hops[k][j].Backlog
+				if bound < 0 {
+					continue // unbounded: nothing to check
+				}
+				if want := observedBacklog(got, k, j); bound < want {
+					t.Fatalf("%s trial %d: T_{%d,%d} backlog bound %d below simulated %d\nsystem: %+v",
+						label, trial, k+1, j+1, bound, want, sys)
+				}
+			}
+		}
+	}
 	r := rand.New(rand.NewSource(96))
 	for trial := 0; trial < 800; trial++ {
 		cfg := randsys.Default
@@ -81,18 +98,16 @@ func TestBacklogBoundDominates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sim.Run(sys)
-		for k := range sys.Jobs {
-			for j := range sys.Jobs[k].Subjobs {
-				bound := res.Hops[k][j].Backlog
-				if bound < 0 {
-					continue // unbounded: nothing to check
-				}
-				if want := observedBacklog(got, k, j); bound < want {
-					t.Fatalf("trial %d: T_{%d,%d} backlog bound %d below simulated %d\nsystem: %+v",
-						trial, k+1, j+1, bound, want, sys)
-				}
-			}
+		check("Approximate", trial, sys, res)
+	}
+	r = rand.New(rand.NewSource(97))
+	for trial := 0; trial < 400; trial++ {
+		cfg := randsys.Default
+		cfg.Loops = true
+		cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
+		sys := randsys.New(r, cfg)
+		if res, err := Iterative(sys, 0); err == nil {
+			check("Iterative", trial, sys, res)
 		}
 	}
 }

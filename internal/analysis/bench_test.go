@@ -67,28 +67,14 @@ func BenchmarkLargeExactSPP(b *testing.B)         { benchExact(b, 1) }
 func BenchmarkLargeExactSPP4Workers(b *testing.B) { benchExact(b, 4) }
 
 // BenchmarkLargeIterative runs the fixed-point engine on the same acyclic
-// system; the incremental worklist converges in one working round plus a
-// verification round.
+// system: every component is a single subjob, so it is the Approximate
+// sweep plus the step accounting.
 func BenchmarkLargeIterative(b *testing.B) {
 	sys := largeSystem(benchJobs, benchHops, benchInstances, model.SPNP)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Iterative(sys, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLargeIterativeFullSweep is the pre-worklist engine (every
-// subjob re-evaluated every round), kept as the baseline the incremental
-// speedup is tracked against.
-func BenchmarkLargeIterativeFullSweep(b *testing.B) {
-	sys := largeSystem(benchJobs, benchHops, benchInstances, model.SPNP)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := IterativeOpts(sys, 0, Options{fullSweep: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,27 +1,32 @@
 package analysis
 
-// The one acyclic driver. Every acyclic analysis — the cold entry points
-// (ExactOpts, ApproximateOpts, AnalyzeOpts), a Session's first or
+// The one driver. Every analysis — the cold entry points (ExactOpts,
+// ApproximateOpts, AnalyzeOpts, IterativeOpts), a Session's first or
 // post-failure converge, and its warm re-converges — is resident.sweep:
 // the paper's per-subjob map (Theorems 1-3 for SPP, Theorem 4 with
-// Theorems 5-9 for the bounds) evaluated over a set of subjob ids in
-// dependency order. Cold analysis is analyzeCold: a fresh resident shell
-// with every subjob seeded. A warm converge (convergeDelta) seeds only the
-// dependents-closure of the staged changes over a copy-on-write clone of
-// the resident fixed point.
+// Theorems 5-9 for the bounds) evaluated over a set of subjob ids in the
+// order of the dependency graph's strongly connected components. On an
+// acyclic graph every component is one subjob, evaluated once; the
+// iterative engine also accepts cyclic components and iterates each to
+// its fixed point (iterate.go). Cold analysis is analyzeCold: a fresh
+// resident shell with every subjob seeded. A warm converge (convergeDelta)
+// seeds only the dependents-closure of the staged changes over a
+// copy-on-write clone of the resident fixed point.
 //
 // Why the warm sweep is bit-identical to the cold one: the dirty set is
 // closed under Topology.Dependents, so every subjob OUTSIDE it has no
 // (transitive) input that changed — its resident rows already equal what
-// a cold sweep would compute. Every subjob INSIDE it is recomputed, in
+// a cold sweep would compute — and a cyclic component lies wholly inside
+// or wholly outside it. Every component INSIDE it is recomputed, in
 // dependency order over the induced subgraph (par.Run), from inputs that
 // are either final resident rows or final recomputed rows — the same
-// inputs the cold sweep would see — by the same per-subjob routine. The
-// memoized cross-subjob intermediates regroup exact integer sums over
-// unique canonical curves (see sched.Memo), so sharing a still-valid memo
-// prefix across converges changes nothing either. Results are
-// field-identical at every worker count for the same reason: the sweep
-// schedule is unobservable.
+// inputs the cold sweep would see — by the same deterministic routine (a
+// cyclic component restarts from freshly pinned rows). The memoized
+// cross-subjob intermediates regroup exact integer sums over unique
+// canonical curves (see sched.Memo), so sharing a still-valid memo prefix
+// across converges changes nothing either. Results are field-identical
+// at every worker count for the same reason: the sweep schedule is
+// unobservable.
 
 import (
 	"errors"
@@ -37,25 +42,23 @@ import (
 	"rta/internal/spp"
 )
 
-// analyzeCold analyzes sys from scratch under an acyclic mode (modeExact
-// or modeApprox): a fresh resident shell — source hops pinned to the
-// release traces, everything else unanalyzed — swept with every subjob
-// seeded. The returned resident is not yet marked converged (needs stays
-// set); rv.res holds the Result, partial on a budget trip during the
-// sweep, nil on every other error. The approximate shell publishes its
-// source demand staircases against the run's breakpoint budget, so a
-// budget too small for those alone fails with no result at all.
-func analyzeCold(sys *model.System, mode sessionMode, opts Options) (rv resident, err error) {
-	rv = resident{sys: sys, topo: sys.Topology(), mode: mode, needs: true}
+// analyzeCold analyzes sys from scratch under mode: a fresh resident
+// shell — source hops pinned to the release traces, everything else
+// unanalyzed — swept with every subjob seeded. maxRounds is the iterative
+// engine's round budget (see Iterative). The returned resident is not yet
+// marked converged (needs stays set); rv.res holds the Result, partial on
+// a budget trip or divergence during the sweep, nil on every other error.
+// The approximate shell publishes its source demand staircases against
+// the run's breakpoint budget, so a budget too small for those alone
+// fails with no result at all.
+func analyzeCold(sys *model.System, mode sessionMode, maxRounds int, opts Options) (rv resident, err error) {
+	rv = resident{sys: sys, topo: sys.Topology(), mode: mode, rounds: maxRounds, needs: true}
 	rv.memo = sched.NewMemo(rv.topo)
 	lim := opts.limiter()
 	if mode == modeExact {
 		rv.ex = spp.NewResult(sys)
 	} else if be := catchBudget(func() { rv.st = newState(sys, lim) }); be != nil {
 		return rv, fmt.Errorf("analysis: %w", be)
-	}
-	if !acyclic(rv.topo) {
-		return rv, ErrCyclic
 	}
 	all := make([]int, len(rv.topo.Subjobs()))
 	for i := range all {
@@ -65,24 +68,40 @@ func analyzeCold(sys *model.System, mode sessionMode, opts Options) (rv resident
 }
 
 // sweep evaluates the per-subjob map over ids (sorted ascending, in
-// rv.topo numbering; every id a dirty subjob reads outside ids must hold
-// its converged value) in dependency order on up to opts.workers()
-// goroutines, then assembles rv.res from the refreshed rows. resetArr
-// names source hops whose arrival rows are re-pinned from the release
-// trace first; republish (approximate engine only) names hops whose
-// demand staircases are rebuilt first. lim meters the breakpoints: a trip
-// leaves a partial rv.res flagged "(budget)" next to an error wrapping
-// ErrBudgetExceeded; any other error (cancellation) leaves rv.res nil.
+// rv.topo numbering, a union of whole components; every id a dirty subjob
+// reads outside ids must hold its converged value) in component order on
+// up to opts.workers() goroutines, then assembles rv.res from the
+// refreshed rows. The acyclic engines refuse a cyclic topology with
+// ErrCyclic. resetArr names source hops whose arrival rows are re-pinned
+// from the release trace first; republish (approximate and iterative
+// engines) names hops whose demand staircases are rebuilt first. lim
+// meters the breakpoints and, under the iterative engine,
+// opts.Budget.FixedPointSteps the evaluations: a trip leaves a partial
+// rv.res flagged "(budget)" next to an error wrapping ErrBudgetExceeded,
+// and a diverged component a partial rv.res flagged "(diverged)"; any
+// other error (cancellation) leaves rv.res nil.
 //
 // Fault containment: every evaluation runs under a fault.Tag carrying the
 // subjob's coordinates, so a panic (invariant violation or budget trip)
 // surfaces with its analysis context; cancellation is observed by par.Run
-// between items and returns wrapping ctx.Err() after the in-flight
-// evaluations drain.
+// between items (and by a cyclic component between evaluations) and
+// returns wrapping ctx.Err() after the in-flight evaluations drain.
 func (rv *resident) sweep(ids, resetArr, republish []int, opts Options, lim *curve.Limiter) error {
 	sys, topo, refs := rv.sys, rv.topo, rv.topo.Subjobs()
+	comps, acyclic := topo.Components()
+	if !acyclic && rv.mode != modeIterative {
+		rv.res = nil
+		return ErrCyclic
+	}
 	if rv.mode == modeExact {
 		ex := rv.ex
+		for _, id := range ids {
+			// A warm row still holds the previous converge's departures; a
+			// budget trip before its evaluation must report its job
+			// unbounded, not that stale bound.
+			r := refs[id]
+			ex.Departure[r.Job][r.Hop] = nil
+		}
 		for _, id := range resetArr {
 			r := refs[id]
 			ex.Arrival[r.Job][r.Hop] = append([]model.Ticks(nil), sys.Jobs[r.Job].Releases...)
@@ -108,19 +127,38 @@ func (rv *resident) sweep(ids, resetArr, republish []int, opts Options, lim *cur
 
 	st := rv.st
 	st.lim, st.memo = lim, rv.memo
+	budgetTag, ctx := "App(budget)", opts.ctx()
+	if rv.mode == modeIterative {
+		budgetTag = "App/Iterative(budget)"
+		st.fix = &fixpoint{rounds: rv.rounds, maxSteps: opts.Budget.FixedPointSteps}
+		if st.fix.rounds <= 0 {
+			st.fix.rounds = 64
+		}
+		if !acyclic {
+			st.fix.unsettled = make([]bool, len(refs))
+		}
+	}
 	// Lazy-resolution guards: every row outside ids counts as resolved, and
 	// so do the sources; the other seeded hops re-pull their arrival joins
 	// from their predecessors' (refreshed or resident, either way final)
-	// departure rows.
+	// departure rows. Stale late departures are dropped as in the exact
+	// branch.
 	st.arrState = make([]uint32, len(refs))
 	st.resolveMu = make([]sync.Mutex, len(refs))
 	for i := range st.arrState {
 		st.arrState[i] = 1
 	}
 	for _, id := range ids {
+		r := refs[id]
+		st.hops[r.Job][r.Hop].DepLate = nil
 		if len(topo.JobPreds(id)) > 0 {
 			st.arrState[id] = 0
 		}
+	}
+	units, deps, dependents := ids, topo.Deps, topo.Dependents
+	eval := func(id int) { st.evalSubjob(id, false) }
+	if !acyclic {
+		units, deps, dependents, eval = st.componentUnits(ctx, ids, comps)
 	}
 	var runErr error
 	be := catchBudget(func() {
@@ -135,23 +173,25 @@ func (rv *resident) sweep(ids, resetArr, republish []int, opts Options, lim *cur
 		for _, id := range republish {
 			st.publishDemand(refs[id])
 		}
-		runErr = par.Run(opts.ctx(), ids, topo.Deps, topo.Dependents, opts.workers(), func(id int) {
-			r := refs[id]
-			fault.Tag(r.Job, r.Hop, sys.Subjob(r).Proc, func() { st.computeSubjob(r) })
-		})
+		runErr = par.Run(ctx, units, deps, dependents, opts.workers(), eval)
 	})
-	switch {
-	case be != nil:
-		// Jobs with an uncomputed hop report curve.Inf (see result), the
-		// rest keep the bounds already derived.
-		rv.res = st.result()
-		rv.res.Method = "App(budget)"
-		return fmt.Errorf("analysis: %w", be)
-	case runErr != nil:
+	if runErr != nil && be == nil {
 		rv.res = nil
 		return fmt.Errorf("analysis: %w", runErr)
 	}
+	// Jobs with an uncomputed hop report curve.Inf (see result), and so do
+	// the jobs an unsettled cyclic component taints; the rest keep the
+	// bounds already derived.
 	rv.res = st.result()
+	diverged := st.fix != nil && st.fix.settle(topo, rv.res)
+	switch {
+	case be != nil:
+		rv.res.Method = budgetTag
+		return fmt.Errorf("analysis: %w", be)
+	case diverged:
+		rv.res.Method = "App/Iterative(diverged)"
+		return errDiverged
+	}
 	return nil
 }
 
@@ -198,24 +238,18 @@ func (s *Session) convergeLocked() (res *Result, err error) {
 	case sched.ExactAll(sys) && !sys.HasResources():
 		mode = modeExact
 	}
-	switch {
-	case mode == modeIterative:
-		// The iterative engine mutates its working bounds in place, which
-		// copy-on-write residency cannot tolerate; it always runs cold.
-		s.cur = resident{sys: sys, topo: sys.Topology(), mode: mode, needs: true}
-		s.cur.res, err = IterativeOpts(sys, s.cfg.MaxRounds, s.cfg.Opts)
-	case s.cur.warm && mode == s.cur.mode && acyclic(s.cur.topo):
+	// A staged cycle under an acyclic engine reaches the sweep either way
+	// and reports ErrCyclic exactly as AnalyzeOpts does.
+	if s.cur.warm && mode == s.cur.mode {
 		err = s.convergeDelta()
-	default:
-		// Cold (a staged cycle lands here too and reports ErrCyclic exactly
-		// as AnalyzeOpts does).
-		s.cur, err = analyzeCold(sys, mode, s.cfg.Opts)
+	} else {
+		s.cur, err = analyzeCold(sys, mode, s.cfg.MaxRounds, s.cfg.Opts)
 	}
 	if err != nil {
 		return s.cur.res, err // partial on budget/divergence, nil otherwise
 	}
 	s.cur.needs = false
-	s.cur.warm = mode != modeIterative
+	s.cur.warm = true
 	s.afterConverge()
 	return s.cur.res, nil
 }
@@ -266,25 +300,7 @@ func (s *Session) convergeDelta() error {
 	}
 
 	// Dirty cone: the dependents-closure of the seeds.
-	n := len(topo.Subjobs())
-	inDirty := make([]bool, n)
-	queue := make([]int, 0, len(s.seeds))
-	for id := range s.seeds {
-		if !inDirty[id] {
-			inDirty[id] = true
-			queue = append(queue, id)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		for _, d := range topo.Dependents(queue[qi]) {
-			if !inDirty[d] {
-				inDirty[d] = true
-				queue = append(queue, d)
-			}
-		}
-	}
-	ids := append([]int(nil), queue...)
-	slices.Sort(ids)
+	ids, inDirty := dependentsClosure(topo, setToSorted(s.seeds))
 
 	// Memo retention: a priority-prefix entry survives when every leading
 	// member before it is the same subjob at the same position as in the
@@ -327,7 +343,7 @@ func (s *Session) convergeDelta() error {
 			ex.Backlog[k] = append([]int(nil), ex.Backlog[k]...)
 		}
 		rv.ex = ex
-	} else {
+	} else { // modeApprox, modeIterative
 		st := rv.st.sessionClone()
 		st.sys, st.topo = sys, topo
 		for k := range jobs {
@@ -339,9 +355,28 @@ func (s *Session) convergeDelta() error {
 	return rv.sweep(ids, setToSorted(s.resetArr), setToSorted(s.republish), s.cfg.Opts, s.cfg.Opts.limiter())
 }
 
-func acyclic(topo *model.Topology) bool {
-	_, ok := topo.Levels()
-	return ok
+// dependentsClosure returns the subjob ids reachable from seeds along
+// Topology.Dependents, seeds included, sorted ascending, together with
+// their membership mask: the dirty cone of a warm converge, and the
+// subjobs a diverged cyclic component taints.
+func dependentsClosure(topo *model.Topology, seeds []int) (ids []int, in []bool) {
+	in = make([]bool, len(topo.Subjobs()))
+	for _, id := range seeds {
+		if !in[id] {
+			in[id] = true
+			ids = append(ids, id)
+		}
+	}
+	for qi := 0; qi < len(ids); qi++ {
+		for _, d := range topo.Dependents(ids[qi]) {
+			if !in[d] {
+				in[d] = true
+				ids = append(ids, d)
+			}
+		}
+	}
+	slices.Sort(ids)
+	return ids, in
 }
 
 func setToSorted(set map[int]struct{}) []int {

@@ -208,3 +208,58 @@ func TestStepBudgetIterative(t *testing.T) {
 		t.Error("no step budget produced a partial result")
 	}
 }
+
+// TestSessionBudgetPartialNotStale: a warm converge that trips the
+// breakpoint budget reports, for every job, either its converged bound or
+// curve.Inf - never the bound of the previous converge, which the dirty
+// rows still held before they were re-evaluated. Covers the exact,
+// approximate and iterative engines.
+func TestSessionBudgetPartialNotStale(t *testing.T) {
+	cases := []struct {
+		name   string
+		sc     model.Scheduler
+		engine Engine
+		cold   func(*model.System) (*Result, error)
+	}{
+		{"exact", model.SPP, EngineAuto, func(sys *model.System) (*Result, error) { return AnalyzeOpts(sys, Options{}) }},
+		{"approximate", model.SPNP, EngineAuto, func(sys *model.System) (*Result, error) { return AnalyzeOpts(sys, Options{}) }},
+		{"iterative", model.FCFS, EngineIterative, func(sys *model.System) (*Result, error) { return IterativeOpts(sys, 0, Options{}) }},
+	}
+	for _, tc := range cases {
+		sawPartial := false
+		for b := int64(64); b < 1<<24; b *= 2 {
+			s, err := NewSession(churnSystem(tc.sc, 10, 4, 6, 0), SessionConfig{Engine: tc.engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Mutate(func(sys *model.System) error {
+				for k := range sys.Jobs {
+					sys.Jobs[k].Subjobs[0].Exec += 5
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s.SetOptions(Options{Budget: Budget{Breakpoints: b}})
+			part, perr := s.Converge()
+			if perr == nil {
+				break
+			}
+			if !errors.Is(perr, ErrBudgetExceeded) {
+				t.Fatalf("%s budget %d: err = %v", tc.name, b, perr)
+			}
+			if part == nil {
+				continue
+			}
+			sawPartial = true
+			full, err := tc.cold(s.WorkingSystem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBudgetPartial(t, tc.name, full, part)
+		}
+		if !sawPartial {
+			t.Errorf("%s: no budget produced a partial warm result", tc.name)
+		}
+	}
+}

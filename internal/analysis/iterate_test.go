@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rta/internal/curve"
@@ -73,6 +74,108 @@ func TestIterativeDominatesSimulationAcyclic(t *testing.T) {
 					trial, k+1, res.WCRT[k], w, sys)
 			}
 		}
+	}
+}
+
+// TestIterativeMatchesApproximateAcyclic: on an acyclic system every
+// strongly connected component is a single subjob evaluated once from
+// final inputs, so Iterative is the Approximate sweep field for field -
+// chains and fork-join jobs, latencies, sync policies and resources
+// included - at one and at eight workers.
+func TestIterativeMatchesApproximateAcyclic(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	cfg := randsys.Default
+	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
+	for trial := 0; trial < 300; trial++ {
+		cfg.MaxPostDelay = 3 * (trial % 2)
+		cfg.Resources = trial % 3 / 2
+		cfg.SyncPolicies = nil
+		if trial%5 == 0 {
+			cfg.SyncPolicies = []model.SyncPolicy{model.DirectSync, model.PhaseModification, model.ReleaseGuard}
+		}
+		sys := randsys.New(r, cfg)
+		if trial%2 == 1 {
+			sys = randsys.ForkJoin(r, cfg)
+		}
+		want, werr := ApproximateOpts(sys, Options{})
+		for _, workers := range []int{1, 8} {
+			got, gerr := IterativeOpts(sys, 0, Options{Workers: workers})
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("trial %d workers %d: error mismatch %v vs %v", trial, workers, werr, gerr)
+			}
+			if werr != nil {
+				continue
+			}
+			requireSameResult(t, "Iterative vs Approximate", want, got)
+		}
+	}
+}
+
+// TestIterativeFixedPoint: a converged run is a fixed point of the
+// per-subjob map on every cyclic component. One more evaluation of any
+// member, its arrivals re-pulled first, moves no merge and reproduces
+// its row. And every hop's late arrivals, inside the loops or not, are
+// the join of its predecessors' final late departures. Eight workers
+// reach the same result field for field, diverged runs included.
+func TestIterativeFixedPoint(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	cfg := randsys.Default
+	cfg.Loops = true
+	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		sys := randsys.New(r, cfg)
+		rv, err := analyzeCold(sys, modeIterative, 0, Options{})
+		par, perr := IterativeOpts(sys, 0, Options{Workers: 8})
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("trial %d: error mismatch %v vs %v", trial, err, perr)
+		}
+		requireSameResult(t, "Iterative 1 vs 8 workers", rv.res, par)
+		if err != nil {
+			continue
+		}
+		st, topo := rv.st, rv.topo
+		var scratch [1]int
+		for k := range sys.Jobs {
+			for j := range sys.Jobs[k].Subjobs {
+				preds := sys.Jobs[k].HopPreds(j, &scratch)
+				if len(preds) == 0 {
+					continue
+				}
+				want := sys.JoinReleases(k, j, preds, func(p int) []model.Ticks { return st.hops[k][p].DepLate })
+				if !sameTicks(st.hops[k][j].ArrLate, want) {
+					t.Fatalf("trial %d: T_{%d,%d} late arrivals %v, want %v", trial, k+1, j+1, st.hops[k][j].ArrLate, want)
+				}
+			}
+		}
+		comps, _ := topo.Components()
+		for _, comp := range comps {
+			if len(comp) == 1 && !slices.Contains(topo.Deps(comp[0]), comp[0]) {
+				continue
+			}
+			checked++
+			for _, id := range comp {
+				ref := topo.Subjobs()[id]
+				hop := &st.hops[ref.Job][ref.Hop]
+				before := *hop
+				before.ArrLate = slices.Clone(hop.ArrLate)
+				before.DepLate = slices.Clone(hop.DepLate)
+				arrMoved := st.pullLate(id)
+				svcMoved, depMoved := st.computeSubjob(ref, true)
+				if arrMoved || svcMoved || depMoved {
+					t.Fatalf("trial %d: T_{%d,%d} moved after convergence (arr %v svc %v dep %v)",
+						trial, ref.Job+1, ref.Hop+1, arrMoved, svcMoved, depMoved)
+				}
+				if !sameTicks(before.ArrLate, hop.ArrLate) || !sameTicks(before.DepLate, hop.DepLate) ||
+					!before.SvcLo.Equal(hop.SvcLo) || !before.SvcHi.Equal(hop.SvcHi) ||
+					before.Local != hop.Local || before.Backlog != hop.Backlog {
+					t.Fatalf("trial %d: T_{%d,%d} row changed after convergence", trial, ref.Job+1, ref.Hop+1)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no converged cyclic component to check")
 	}
 }
 

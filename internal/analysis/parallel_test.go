@@ -150,25 +150,6 @@ func TestParallelDeterminismExact(t *testing.T) {
 	}
 }
 
-// TestIterativeIncrementalMatchesFullSweep: the dirty-set worklist and
-// the full re-evaluation sweep reach the identical state - bounds,
-// curves, convergence verdict - on loop systems of every scheduler mix.
-func TestIterativeIncrementalMatchesFullSweep(t *testing.T) {
-	r := rand.New(rand.NewSource(63))
-	cfg := randsys.Default
-	cfg.Loops = true
-	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
-	for trial := 0; trial < 150; trial++ {
-		sys := randsys.New(r, cfg)
-		inc, incErr := IterativeOpts(sys, 0, Options{})
-		full, fullErr := IterativeOpts(sys, 0, Options{fullSweep: true})
-		if (incErr == nil) != (fullErr == nil) {
-			t.Fatalf("trial %d: convergence verdicts differ: %v vs %v", trial, incErr, fullErr)
-		}
-		requireSameResult(t, "Iterative", inc, full)
-	}
-}
-
 // TestIterativeDivergencePartial: when the iteration exhausts its round
 // budget, only the jobs still moving (and those depending on them) are
 // reported unbounded; an independent converged job keeps its finite

@@ -29,10 +29,11 @@ const (
 	// processor's policy is exact-capable and no resources are declared,
 	// Theorem 4 otherwise; cyclic systems fail with ErrCyclic.
 	EngineAuto Engine = iota
-	// EngineIterative always runs the Gauss-Seidel fixed point
-	// (IterativeOpts). The iterative engine mutates its working state in
-	// place, so sessions on this engine converge cold every time — staging
-	// and rollback still apply, warm deltas do not.
+	// EngineIterative runs the fixed-point engine (IterativeOpts), which
+	// also accepts cyclic systems. Its converges are warm like the others':
+	// a cyclic component lies wholly inside or wholly outside a dirty cone
+	// and is re-iterated from a fresh start when inside, so warm results
+	// equal IterativeOpts on the same system.
 	EngineIterative
 )
 
@@ -44,8 +45,8 @@ type SessionConfig struct {
 	Opts Options
 	// Engine selects the converge engine; EngineAuto by default.
 	Engine Engine
-	// MaxRounds bounds the iterative fixed point (EngineIterative only);
-	// zero selects the IterativeOpts default.
+	// MaxRounds bounds the fixed point of each cyclic component
+	// (EngineIterative only); zero selects the IterativeOpts default.
 	MaxRounds int
 }
 
@@ -74,18 +75,19 @@ type resident struct {
 	sys  *model.System
 	topo *model.Topology
 	mode sessionMode
+	// rounds is the iterative engine's round budget (see Iterative).
+	rounds int
 	// warm reports whether st/ex below hold a converged fixed point that
-	// delta re-analysis may extend. Cleared on engine errors and by the
-	// iterative engine (which converges cold by design).
+	// delta re-analysis may extend. Cleared on engine errors.
 	warm bool
 	// needs reports whether res is stale w.r.t. sys.
 	needs bool
-	// st is the approximate engine's state (modeApprox), ex the exact
-	// engine's result (modeExact).
+	// st is the approximate and iterative engines' state (modeApprox,
+	// modeIterative), ex the exact engine's result (modeExact).
 	st *state
 	ex *spp.Result
-	// memo holds the cross-subjob intermediates of either acyclic engine;
-	// a warm converge extends the anchor's (sched.Memo.Extend).
+	// memo holds the cross-subjob intermediates of every engine; a warm
+	// converge extends the anchor's (sched.Memo.Extend).
 	memo *sched.Memo
 	// res is the assembled Result for sys; aliases st/ex internals.
 	res *Result
@@ -182,29 +184,26 @@ func (s *Session) beginStage() {
 		return
 	}
 	switch s.cur.mode {
-	case modeApprox:
+	case modeApprox, modeIterative:
 		s.cur.st = s.cur.st.sessionClone()
 	case modeExact:
 		s.cur.ex = cloneExactOuter(s.cur.ex)
 	}
 }
 
-// sessionClone returns a copy-on-write clone of an approximate state: the
-// outer spines are fresh (so growing/cutting jobs never disturbs the
-// original), the per-job rows and cached curves are shared until a delta
-// converge re-copies the rows it rewrites. Version counters restart at
-// zero — only the iterative engine consumes them, and it never runs warm.
-// The lazy-resolution guards, memo and limiter are left to the next
-// sweep, which sets them for the then-current topology.
+// sessionClone returns a copy-on-write clone of an approximate or
+// iterative state: the outer spines are fresh (so growing/cutting jobs
+// never disturbs the original), the per-job rows and cached curves are
+// shared until a delta converge re-copies the rows it rewrites. The
+// lazy-resolution guards, memo, limiter and fixed-point bookkeeping are
+// left to the next sweep, which sets them for the then-current topology.
 func (st *state) sessionClone() *state {
 	out := &state{
-		sys:         st.sys,
-		topo:        st.topo,
-		hops:        append([][]Hop(nil), st.hops...),
-		demandLo:    append([]*curve.Curve(nil), st.demandLo...),
-		demandHi:    append([]*curve.Curve(nil), st.demandHi...),
-		arrVer:      make([]uint64, len(st.arrVer)),
-		demandLoVer: make([]uint64, len(st.demandLoVer)),
+		sys:      st.sys,
+		topo:     st.topo,
+		hops:     append([][]Hop(nil), st.hops...),
+		demandLo: append([]*curve.Curve(nil), st.demandLo...),
+		demandHi: append([]*curve.Curve(nil), st.demandHi...),
 	}
 	out.initFns()
 	return out
@@ -302,13 +301,11 @@ func (s *Session) Admit(job model.Job) {
 		// so existing ids are stable) and dirty the newcomer plus everyone
 		// whose policy inputs it joins.
 		switch s.cur.mode {
-		case modeApprox:
+		case modeApprox, modeIterative:
 			st := s.cur.st
 			st.hops = append(st.hops, make([]Hop, nh))
 			st.demandLo = append(st.demandLo, make([]*curve.Curve, nh)...)
 			st.demandHi = append(st.demandHi, make([]*curve.Curve, nh)...)
-			st.arrVer = append(st.arrVer, make([]uint64, nh)...)
-			st.demandLoVer = append(st.demandLoVer, make([]uint64, nh)...)
 		case modeExact:
 			ex := s.cur.ex
 			ex.WCRT = append(ex.WCRT, 0)
@@ -390,13 +387,11 @@ func (s *Session) Remove(k int) error {
 	}
 	if s.cur.warm {
 		switch s.cur.mode {
-		case modeApprox:
+		case modeApprox, modeIterative:
 			st := s.cur.st
 			st.hops = cutRow(st.hops, k)
 			st.demandLo = cutRange(st.demandLo, lo, hi)
 			st.demandHi = cutRange(st.demandHi, lo, hi)
-			st.arrVer = cutRange(st.arrVer, lo, hi)
-			st.demandLoVer = cutRange(st.demandLoVer, lo, hi)
 		case modeExact:
 			ex := s.cur.ex
 			ex.WCRT = cutRow(ex.WCRT, k)

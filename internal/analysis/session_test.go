@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -32,11 +34,18 @@ func churnSystem(sc model.Scheduler, jobs, hops, instances, headroom int) *model
 }
 
 // requireWarmEqualsCold converges the session and asserts the result is
-// field-identical to a cold analysis of the same working system.
+// field-identical to a cold analysis of the same working system
+// (IterativeOpts on the iterative engine, AnalyzeOpts otherwise).
 func requireWarmEqualsCold(t *testing.T, label string, s *Session, opts Options) *Result {
 	t.Helper()
 	warm, werr := s.Converge()
-	cold, cerr := AnalyzeOpts(s.WorkingSystem(), opts)
+	var cold *Result
+	var cerr error
+	if s.cfg.Engine == EngineIterative {
+		cold, cerr = IterativeOpts(s.WorkingSystem(), s.cfg.MaxRounds, opts)
+	} else {
+		cold, cerr = AnalyzeOpts(s.WorkingSystem(), opts)
+	}
 	if (werr == nil) != (cerr == nil) {
 		t.Fatalf("%s: error mismatch: warm %v vs cold %v", label, werr, cerr)
 	}
@@ -405,40 +414,75 @@ func TestSessionStructureGuard(t *testing.T) {
 	requireWarmEqualsCold(t, "unstaged", s, Options{})
 }
 
-// TestSessionIterativeEngine: sessions on the iterative engine (cyclic
-// systems) converge cold every time but still honor the staging API and
-// match IterativeOpts on the same working system.
+// TestSessionIterativeEngine: sessions on the iterative engine converge
+// warm, cyclic components included. Under admit/remove/mutate/rollback
+// churn over random loop systems and the loop shop, every converge equals
+// IterativeOpts of the same working system, at one and four workers.
 func TestSessionIterativeEngine(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "loopshop.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shop, err := model.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(63))
 	cfg := randsys.Default
 	cfg.Loops = true
 	cfg.Schedulers = []model.Scheduler{model.SPP, model.SPNP, model.FCFS}
-	sys := randsys.New(rand.New(rand.NewSource(63)), cfg)
-	opts := Options{Workers: 2}
-	s, err := NewSession(sys, SessionConfig{Opts: opts, Engine: EngineIterative})
-	if err != nil {
-		t.Skipf("seed system does not converge: %v", err)
+	bases := []*model.System{shop}
+	for len(bases) < 8 {
+		bases = append(bases, randsys.New(r, cfg))
 	}
-	warm, err := s.Converge()
-	cold, cerr := IterativeOpts(s.WorkingSystem(), 0, opts)
-	if (err == nil) != (cerr == nil) {
-		t.Fatalf("error mismatch: %v vs %v", err, cerr)
+	sessions := 0
+	for i, base := range bases {
+		for _, workers := range []int{1, 4} {
+			opts := Options{Workers: workers}
+			s, err := NewSession(base, SessionConfig{Opts: opts, Engine: EngineIterative})
+			if err != nil {
+				continue // the base itself diverges; nothing warm to keep
+			}
+			sessions++
+			pool := append([]model.Job(nil), base.Jobs...)
+			for step := 0; step < 30; step++ {
+				label := fmt.Sprintf("base %d workers %d step %d", i, workers, step)
+				switch op := r.Intn(10); {
+				case op < 3 && s.WorkingJobs() < 6:
+					j := cloneJob(pool[r.Intn(len(pool))])
+					j.Name = fmt.Sprintf("dyn%03d", step)
+					j.Subjobs[r.Intn(len(j.Subjobs))].Priority = r.Intn(4)
+					s.Admit(j)
+				case op < 5 && s.WorkingJobs() > 1:
+					if err := s.Remove(r.Intn(s.WorkingJobs())); err != nil {
+						t.Fatalf("%s: Remove: %v", label, err)
+					}
+				default:
+					k := r.Intn(s.WorkingJobs())
+					if err := s.Mutate(func(sys *model.System) error {
+						sj := &sys.Jobs[k].Subjobs[r.Intn(len(sys.Jobs[k].Subjobs))]
+						if op%2 == 0 {
+							sj.Exec += model.Ticks(1 + r.Intn(3))
+						} else {
+							sj.Priority = r.Intn(4)
+						}
+						return nil
+					}); err != nil {
+						t.Fatalf("%s: Mutate: %v", label, err)
+					}
+				}
+				requireWarmEqualsCold(t, label, s, opts)
+				if r.Intn(4) == 0 {
+					s.Rollback()
+				} else {
+					s.Commit()
+				}
+			}
+		}
 	}
-	if err == nil {
-		requireSameResult(t, "iterative", cold, warm)
-	}
-	if err := s.Mutate(func(m *model.System) error {
-		m.Jobs[0].Subjobs[0].Exec++
-		return nil
-	}); err != nil {
-		t.Fatalf("Mutate: %v", err)
-	}
-	warm, err = s.Converge()
-	cold, cerr = IterativeOpts(s.WorkingSystem(), 0, opts)
-	if (err == nil) != (cerr == nil) {
-		t.Fatalf("post-mutate error mismatch: %v vs %v", err, cerr)
-	}
-	if err == nil {
-		requireSameResult(t, "iterative-mutate", cold, warm)
+	if sessions == 0 {
+		t.Fatal("no base system converged; the churn never ran")
 	}
 }
 

@@ -9,7 +9,11 @@ package model
 // analysis, random search) transparently get a fresh index on the next
 // query with no invalidation calls at the mutation sites.
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Topology is an immutable precomputed index over a System's scheduling
 // topology. All returned slices and maps are shared and MUST NOT be
@@ -40,17 +44,18 @@ type Topology struct {
 	ceilings    map[int]int   // resource -> priority ceiling
 	// Analysis dependency graph, per subjob id: deps are the subjobs whose
 	// outputs feed this subjob's computation, dependents the reverse edges
-	// (who must be recomputed when this subjob's outputs change). levels
-	// partitions the ids into dependency levels when the graph is acyclic.
+	// (who must be recomputed when this subjob's outputs change). comps
+	// lists the strongly connected components in topological order.
 	deps       [][]int
 	dependents [][]int
-	levels     [][]int
+	comps      [][]int
 	acyclic    bool
 	// Reverse policy-input maps, per subjob id: serviceReaders are the
 	// co-located subjobs whose analysis consumes id's service bounds,
 	// demandReaders those consuming id's arrival/demand curves (beyond id
 	// itself). Both derive from the scheduler registry's ServiceDeps and
-	// DemandDeps hooks and drive the iterative engine's dirty sets.
+	// DemandDeps hooks; they seed a session's dirty cone and drive the
+	// worklist of a cyclic component.
 	serviceReaders [][]int
 	demandReaders  [][]int
 	// Job-internal precedence graph in global-id space: jobPreds[id] are
@@ -69,7 +74,7 @@ type Topology struct {
 // topoSig fingerprints the fields the index depends on: processor
 // schedulers, per subjob its processor, priority, execution time and
 // critical sections, and the job's precedence lists (the dependency
-// graph and level partition derive from them; a nil Precedence and an
+// graph and its components derive from them; a nil Precedence and an
 // explicit chain hash differently, which only costs a duplicate cache
 // entry). Release traces, deadlines and synchronization policies do not
 // affect the topology. FNV-1a over the raw values.
@@ -369,10 +374,11 @@ func buildPrecedence(s *System, t *Topology, n int) {
 //     such a neighbor are a deterministic function of its predecessors'
 //     departures, which is what the edge must wait for).
 //
-// The same graph drives Kahn scheduling and level partitioning in the
-// acyclic engines, and dirty-set propagation plus divergence marking in
-// the iterative engine (via the reverse edges). The reverse policy-input
-// maps (serviceReaders, demandReaders) are built in the same pass.
+// The same graph orders the engines' sweeps (its strongly connected
+// components, see Components) and, through the reverse edges, bounds a
+// session's dirty cone and the jobs a diverged component taints. The
+// reverse policy-input maps (serviceReaders, demandReaders) are built in
+// the same pass.
 func buildDependencyGraph(s *System, t *Topology, n int) {
 	t.deps = make([][]int, n)
 	t.serviceReaders = make([][]int, n)
@@ -419,51 +425,78 @@ func buildDependencyGraph(s *System, t *Topology, n int) {
 			t.dependents[d] = append(t.dependents[d], id)
 		}
 	}
-	// Level partition: level(id) = 1 + max level of its deps, computed by
-	// Kahn's algorithm. A non-empty remainder means a dependency cycle
-	// (physical or logical loop); levels stays valid for the leveled prefix
-	// and acyclic reports false.
-	level := make([]int, n)
-	indeg := make([]int, n)
-	for id, ds := range t.deps {
-		indeg[id] = len(ds)
-	}
-	queue := make([]int, 0, n)
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
+	buildComponents(t, n)
+}
+
+// buildComponents partitions the dependency graph into its strongly
+// connected components with Tarjan's algorithm, walked iteratively along
+// the deps edges. Tarjan closes a component only after every component it
+// depends on, so the emission order is already a topological order. The
+// roots are taken in ascending id order and each component's members are
+// sorted, which makes the partition and its order deterministic.
+func buildComponents(t *Topology, n int) {
+	const done = math.MaxInt // index of a vertex whose component is closed
+	index := make([]int, n)  // DFS discovery number + 1; 0 = unvisited
+	low := make([]int, n)
+	stack := make([]int, 0, n)
+	members := make([]int, 0, n)
+	type frame struct{ id, next int }
+	var call []frame
+	next := 1
+	t.comps = make([][]int, 0, n)
+	t.acyclic = true
+	for root := 0; root < n; root++ {
+		if index[root] != 0 {
+			continue
 		}
-	}
-	maxLevel := -1
-	for qi := 0; qi < len(queue); qi++ {
-		id := queue[qi]
-		l := 0
-		for _, d := range t.deps[id] {
-			if level[d]+1 > l {
-				l = level[d] + 1
+		index[root], low[root] = next, next
+		next++
+		stack = append(stack, root)
+		call = append(call, frame{id: root})
+		for len(call) > 0 {
+			f := &call[len(call)-1]
+			v := f.id
+			if f.next < len(t.deps[v]) {
+				w := t.deps[v][f.next]
+				f.next++
+				switch {
+				case w == v:
+					t.acyclic = false // a subjob reading its own outputs
+				case index[w] == 0:
+					index[w], low[w] = next, next
+					next++
+					stack = append(stack, w)
+					call = append(call, frame{id: w})
+				default:
+					// Closed components carry index done and leave low alone.
+					low[v] = min(low[v], index[w])
+				}
+				continue
 			}
-		}
-		level[id] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-		for _, dep := range t.dependents[id] {
-			if indeg[dep]--; indeg[dep] == 0 {
-				queue = append(queue, dep)
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				u := call[len(call)-1].id
+				low[u] = min(low[u], low[v])
 			}
-		}
-	}
-	t.acyclic = len(queue) == n
-	t.levels = make([][]int, maxLevel+1)
-	leveled := make([]bool, n)
-	for _, id := range queue {
-		leveled[id] = true
-	}
-	// Fill buckets in ascending id order so the serial sweep order is
-	// deterministic and matches the (job, hop) numbering within a level.
-	for id := 0; id < n; id++ {
-		if leveled[id] {
-			t.levels[level[id]] = append(t.levels[level[id]], id)
+			if low[v] != index[v] {
+				continue
+			}
+			start := len(members)
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				index[w] = done
+				members = append(members, w)
+				if w == v {
+					break
+				}
+			}
+			comp := members[start:len(members):len(members)]
+			if len(comp) > 1 {
+				t.acyclic = false
+				slices.Sort(comp)
+			}
+			t.comps = append(t.comps, comp)
 		}
 	}
 }
@@ -569,15 +602,13 @@ func (t *Topology) Sinks(k int) []int { return t.sinks[k] }
 // not mutate.
 func (t *Topology) HopOrder(k int) []int { return t.hopOrder[k] }
 
-// Levels partitions the subjob ids into dependency levels: every
-// dependency of a subjob in level l lies in a level strictly before l, so
-// the subjobs of one level touch disjoint state and can be evaluated
-// concurrently once all earlier levels are done. Ids are ascending within
-// each level. acyclic reports whether every subjob was leveled; when
-// false (a physical or logical loop) the levels cover only the acyclic
-// prefix and the worklist engines must be used instead. Shared slices; do
-// not mutate.
-func (t *Topology) Levels() (levels [][]int, acyclic bool) { return t.levels, t.acyclic }
+// Components returns the strongly connected components of the dependency
+// graph in topological order: every dependency of a member lies in the
+// same or an earlier component. Ids are ascending within each component.
+// acyclic reports whether every component is a single subjob that does
+// not depend on itself; when false (a physical or logical loop) only the
+// iterative engine can analyze the system. Shared slices; do not mutate.
+func (t *Topology) Components() (comps [][]int, acyclic bool) { return t.comps, t.acyclic }
 
 // String summarizes the index for debugging.
 func (t *Topology) String() string {

@@ -7,6 +7,7 @@ package model_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -263,8 +264,8 @@ func sameInts(a, b []int) bool {
 }
 
 // TestTopologyDependencyGraph: Deps matches the brute-force edge
-// definition, Dependents is its exact transpose, and the level partition
-// is a valid topological schedule (every dependency strictly earlier).
+// definition, Dependents is its exact transpose, and Components is a
+// topologically ordered partition into strongly connected components.
 func TestTopologyDependencyGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	cfg := randsys.Default
@@ -289,34 +290,55 @@ func TestTopologyDependencyGraph(t *testing.T) {
 				t.Fatalf("trial %d: Dependents(%d) = %v, want %v", trial, id, got, rev[id])
 			}
 		}
-		levels, acyclic := topo.Levels()
-		levelOf := make([]int, n)
-		for i := range levelOf {
-			levelOf[i] = -1 // unleveled (on a cycle)
+		comps, acyclic := topo.Components()
+		compOf := make([]int, n)
+		for i := range compOf {
+			compOf[i] = -1
 		}
-		covered := 0
-		for l, ids := range levels {
+		allSingle := true
+		for c, ids := range comps {
 			for i, id := range ids {
 				if i > 0 && ids[i-1] >= id {
-					t.Fatalf("trial %d: level %d not ascending: %v", trial, l, ids)
+					t.Fatalf("trial %d: component %d not ascending: %v", trial, c, ids)
 				}
-				levelOf[id] = l
-				covered++
+				if compOf[id] >= 0 {
+					t.Fatalf("trial %d: subjob %d in components %d and %d", trial, id, compOf[id], c)
+				}
+				compOf[id] = c
+			}
+			if len(ids) > 1 || slices.Contains(topo.Deps(ids[0]), ids[0]) {
+				allSingle = false
+			}
+			// Strongly connected: the first member reaches every other one
+			// and is reached by it, without leaving the component.
+			for _, edges := range []func(int) []int{topo.Deps, topo.Dependents} {
+				seen := map[int]bool{ids[0]: true}
+				for q := []int{ids[0]}; len(q) > 0; q = q[1:] {
+					for _, d := range edges(q[0]) {
+						if slices.Contains(ids, d) && !seen[d] {
+							seen[d] = true
+							q = append(q, d)
+						}
+					}
+				}
+				if len(seen) != len(ids) {
+					t.Fatalf("trial %d: component %v not strongly connected", trial, ids)
+				}
 			}
 		}
-		if acyclic != (covered == n) {
-			t.Fatalf("trial %d: acyclic = %v but %d/%d subjobs leveled", trial, acyclic, covered, n)
-		}
-		for id := 0; id < n; id++ {
-			if levelOf[id] < 0 {
-				continue
+		for id, c := range compOf {
+			if c < 0 {
+				t.Fatalf("trial %d: subjob %d in no component", trial, id)
 			}
 			for _, d := range topo.Deps(id) {
-				if levelOf[d] < 0 || levelOf[d] >= levelOf[id] {
-					t.Fatalf("trial %d: dep %d (level %d) not before %d (level %d)",
-						trial, d, levelOf[d], id, levelOf[id])
+				if compOf[d] > c {
+					t.Fatalf("trial %d: dep %d (component %d) after %d (component %d)",
+						trial, d, compOf[d], id, c)
 				}
 			}
+		}
+		if acyclic != allSingle {
+			t.Fatalf("trial %d: acyclic = %v, want %v", trial, acyclic, allSingle)
 		}
 	}
 }

@@ -15,22 +15,18 @@ import (
 	"rta/internal/sim"
 )
 
-// WriteHTML renders a self-contained HTML dossier: the verdict tables,
-// an embedded SVG chart of the response-time CDFs (observed) with the
-// analytical bounds as reference marks, and the schedule timeline. No
-// external assets; open the file in any browser.
-func WriteHTML(w io.Writer, sys *model.System, opts Options) error {
+// WriteHTML renders a self-contained HTML dossier of sys from its
+// analysis result res and its simulation simRes (both required): the
+// verdict tables, an embedded SVG chart of the response-time CDFs
+// (observed) with the analytical bounds as reference marks, and the
+// schedule timeline. No external assets; open the file in any browser.
+func WriteHTML(w io.Writer, sys *model.System, res *analysis.Result, simRes *sim.Result, opts Options) error {
 	if opts.Title == "" {
 		opts.Title = "Response-time analysis"
 	}
 	if opts.GanttWidth <= 0 {
 		opts.GanttWidth = 120
 	}
-	res, err := analysis.Analyze(sys)
-	if err != nil {
-		return err
-	}
-	simRes := sim.Run(sys)
 	rep := metrics.Summarize(sys, simRes)
 
 	var b strings.Builder
@@ -97,7 +93,7 @@ pre { background: #f7f7f7; padding: 8px; overflow-x: auto; }
 	b.WriteString(esc(gb.String()))
 	b.WriteString("</pre>\n</body></html>\n")
 
-	_, err = io.WriteString(w, b.String())
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"rta/internal/analysis"
 	"rta/internal/model"
+	"rta/internal/sim"
 )
 
 func demoSystem() *model.System {
@@ -22,9 +24,19 @@ func demoSystem() *model.System {
 	}
 }
 
+func analyze(t *testing.T, sys *model.System) *analysis.Result {
+	t.Helper()
+	res, err := analysis.Analyze(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestWriteFullDossier(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, demoSystem(), Options{Title: "demo"}); err != nil {
+	sys := demoSystem()
+	if err := Write(&buf, sys, analyze(t, sys), sim.Run(sys), Options{Title: "demo"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -53,7 +65,7 @@ func TestWriteDetectsMiss(t *testing.T) {
 	sys := demoSystem()
 	sys.Jobs[0].Deadline = 5 // impossible: exec sum is 7
 	var buf bytes.Buffer
-	if err := Write(&buf, sys, Options{SkipSimulation: true}); err != nil {
+	if err := Write(&buf, sys, analyze(t, sys), nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -61,7 +73,7 @@ func TestWriteDetectsMiss(t *testing.T) {
 		t.Fatalf("miss not reported:\n%s", out)
 	}
 	if strings.Contains(out, "## Simulated") {
-		t.Error("SkipSimulation ignored")
+		t.Error("simulation sections rendered without a simulation")
 	}
 }
 
@@ -86,7 +98,8 @@ func TestSummary(t *testing.T) {
 
 func TestWriteHTML(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHTML(&buf, demoSystem(), Options{Title: "html demo"}); err != nil {
+	sys := demoSystem()
+	if err := WriteHTML(&buf, sys, analyze(t, sys), sim.Run(sys), Options{Title: "html demo"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

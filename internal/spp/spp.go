@@ -84,7 +84,7 @@ func AnalyzeWith(ctx context.Context, sys *model.System, workers int, lim *curve
 		return nil, ErrResources
 	}
 	topo := sys.Topology()
-	if _, acyclic := topo.Levels(); !acyclic {
+	if _, acyclic := topo.Components(); !acyclic {
 		return nil, ErrCyclic
 	}
 	res := NewResult(sys)

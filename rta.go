@@ -347,7 +347,15 @@ func RenderMetrics(w io.Writer, sys *System, rep *SimReport) { metrics.Render(w,
 // writes a complete markdown dossier: verdicts, per-hop detail, response
 // distributions, processor load and the schedule timeline.
 func WriteReport(w io.Writer, sys *System, title string, skipSim bool) error {
-	return report.Write(w, sys, report.Options{Title: title, SkipSimulation: skipSim})
+	res, err := analysis.Analyze(sys)
+	if err != nil {
+		return err
+	}
+	var simRes *SimResult
+	if !skipSim {
+		simRes = sim.Run(sys)
+	}
+	return report.Write(w, sys, res, simRes, report.Options{Title: title})
 }
 
 // WriteDOT exports the system structure as a Graphviz digraph.
