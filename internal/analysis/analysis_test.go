@@ -216,7 +216,7 @@ func TestFCFSDominatesAdversarialTieBreaks(t *testing.T) {
 		}
 		for rep := 0; rep < 8; rep++ {
 			keys := map[[3]int]int64{}
-			got := sim.RunWithTieBreak(sys, func(j, h, i int) int64 {
+			got, err := sim.RunOpts(sys, sim.Options{TieBreak: func(j, h, i int) int64 {
 				k := [3]int{j, h, i}
 				if v, ok := keys[k]; ok {
 					return v
@@ -224,7 +224,10 @@ func TestFCFSDominatesAdversarialTieBreaks(t *testing.T) {
 				v := r.Int63()
 				keys[k] = v
 				return v
-			})
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
 			checkDominates(t, trial*100+rep, sys, res, got)
 		}
 	}

@@ -13,10 +13,11 @@ import (
 
 // TestIterativeDominatesSimulationLoops: the conclusion's fixed-point
 // extension must still bracket the simulated schedule on systems with
-// physical and logical loops.
+// physical and logical loops. A converged result must bound every job:
+// an Inf WCRT there means the iteration saturated instead of converging.
 func TestIterativeDominatesSimulationLoops(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	converged, diverged := 0, 0
+	converged, diverged, jobs := 0, 0, 0
 	for trial := 0; trial < 1500; trial++ {
 		cfg := randsys.Default
 		cfg.Loops = true
@@ -28,6 +29,12 @@ func TestIterativeDominatesSimulationLoops(t *testing.T) {
 			continue // reported unschedulable; nothing to check
 		}
 		converged++
+		jobs += len(sys.Jobs)
+		for k, w := range res.WCRT {
+			if curve.IsInf(w) {
+				t.Fatalf("trial %d: converged, but job %d has an Inf WCRT\nsystem: %+v", trial, k+1, sys)
+			}
+		}
 		got := sim.Run(sys)
 		for k := range sys.Jobs {
 			hops := res.Hops[k]
@@ -44,7 +51,7 @@ func TestIterativeDominatesSimulationLoops(t *testing.T) {
 					}
 				}
 			}
-			if w := got.WorstResponse(k); !curve.IsInf(res.WCRT[k]) && res.WCRT[k] < w {
+			if w := got.WorstResponse(k); res.WCRT[k] < w {
 				t.Fatalf("trial %d: job %d WCRT %d < simulated %d", trial, k+1, res.WCRT[k], w)
 			}
 		}
@@ -52,7 +59,7 @@ func TestIterativeDominatesSimulationLoops(t *testing.T) {
 	if converged == 0 {
 		t.Fatal("iteration never converged on loop systems")
 	}
-	t.Logf("converged on %d/%d loop systems (%d diverged)", converged, converged+diverged, diverged)
+	t.Logf("converged on %d/%d loop systems (%d diverged), %d jobs bounded", converged, converged+diverged, diverged, jobs)
 }
 
 // TestIterativeDominatesSimulationAcyclic: on acyclic systems the

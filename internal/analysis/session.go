@@ -664,10 +664,3 @@ func (s *Session) Jobs() int {
 	defer s.mu.RUnlock()
 	return len(s.base.sys.Jobs)
 }
-
-// WorkingJobs returns the number of jobs in the staged working system.
-func (s *Session) WorkingJobs() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.cur.sys.Jobs)
-}

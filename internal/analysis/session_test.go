@@ -449,17 +449,17 @@ func TestSessionIterativeEngine(t *testing.T) {
 			for step := 0; step < 30; step++ {
 				label := fmt.Sprintf("base %d workers %d step %d", i, workers, step)
 				switch op := r.Intn(10); {
-				case op < 3 && s.WorkingJobs() < 6:
+				case op < 3 && len(s.WorkingSystem().Jobs) < 6:
 					j := cloneJob(pool[r.Intn(len(pool))])
 					j.Name = fmt.Sprintf("dyn%03d", step)
 					j.Subjobs[r.Intn(len(j.Subjobs))].Priority = r.Intn(4)
 					s.Admit(j)
-				case op < 5 && s.WorkingJobs() > 1:
-					if err := s.Remove(r.Intn(s.WorkingJobs())); err != nil {
+				case op < 5 && len(s.WorkingSystem().Jobs) > 1:
+					if err := s.Remove(r.Intn(len(s.WorkingSystem().Jobs))); err != nil {
 						t.Fatalf("%s: Remove: %v", label, err)
 					}
 				default:
-					k := r.Intn(s.WorkingJobs())
+					k := r.Intn(len(s.WorkingSystem().Jobs))
 					if err := s.Mutate(func(sys *model.System) error {
 						sj := &sys.Jobs[k].Subjobs[r.Intn(len(sys.Jobs[k].Subjobs))]
 						if op%2 == 0 {
@@ -569,7 +569,7 @@ func FuzzSessionChurn(f *testing.F) {
 			}
 			switch b % 6 {
 			case 0:
-				if s.WorkingJobs() >= 9 {
+				if len(s.WorkingSystem().Jobs) >= 9 {
 					continue
 				}
 				j := cloneJob(base.Jobs[int(b/6)%len(base.Jobs)])
@@ -578,7 +578,7 @@ func FuzzSessionChurn(f *testing.F) {
 				next++
 				s.Admit(j)
 			case 1:
-				if n := s.WorkingJobs(); n > 1 {
+				if n := len(s.WorkingSystem().Jobs); n > 1 {
 					_ = s.Remove(int(b) % n)
 				}
 			case 2:

@@ -2,8 +2,8 @@
 // of a job (the t_{k,1,i} of Section 3.1). The analyses operate on
 // arbitrary traces; this package provides the patterns used in the paper's
 // evaluation - strictly periodic streams (Equation 25) and the bursty
-// aperiodic pattern of Equation (27) - plus jittered, bursty and sporadic
-// generators useful for wider experiments.
+// aperiodic pattern of Equation (27) - plus the clustered bursts of the
+// bursty workload family.
 //
 // Generators work in continuous model time (float64) and scale to integer
 // ticks with a Scale; the default of one million ticks per time unit keeps
@@ -12,7 +12,6 @@ package arrivals
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 
 	"rta/internal/model"
@@ -86,20 +85,6 @@ func PaperAperiodic(x float64, horizon float64, sc Scale) []model.Ticks {
 	return out
 }
 
-// Jittered returns a periodic stream where each release is displaced by a
-// uniform random jitter in [0, jitter].
-func Jittered(r *rand.Rand, period, jitter, horizon float64, sc Scale) []model.Ticks {
-	if period <= 0 {
-		panic("arrivals: non-positive period")
-	}
-	var out []model.Ticks
-	for t := 0.0; t <= horizon; t += period {
-		out = append(out, sc.Ticks(t+jitter*r.Float64()))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // Bursts returns clustered releases: every interval, a burst of size
 // releases arrives with spacing gap inside the burst. Models the "bursty
 // job arrivals" of the paper's title in their most adversarial form.
@@ -118,59 +103,5 @@ func Bursts(interval float64, size int, gap float64, horizon float64, sc Scale) 
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Sporadic returns a stream with random exponential gaps of the given
-// mean, but never closer than minGap (a sporadic task with a minimum
-// inter-arrival separation).
-func Sporadic(r *rand.Rand, minGap, meanGap, horizon float64, sc Scale) []model.Ticks {
-	if minGap < 0 || meanGap <= 0 {
-		panic("arrivals: invalid sporadic parameters")
-	}
-	var out []model.Ticks
-	t := meanGap * r.Float64()
-	for t <= horizon {
-		out = append(out, sc.Ticks(t))
-		gap := minGap + r.ExpFloat64()*meanGap
-		t += gap
-	}
-	if len(out) == 0 {
-		out = append(out, 0)
-	}
-	return out
-}
-
-// Merge combines several traces into one sorted trace.
-func Merge(traces ...[]model.Ticks) []model.Ticks {
-	var out []model.Ticks
-	for _, t := range traces {
-		out = append(out, t...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// OnOff returns the releases of an ON/OFF source, the standard bursty
-// traffic abstraction: during ON periods instances are released every
-// `gap`; OFF periods are silent. Durations of ON and OFF phases are
-// exponential with the given means. A common model for compressed media
-// and event showers.
-func OnOff(r *rand.Rand, gap, meanOn, meanOff, horizon float64, sc Scale) []model.Ticks {
-	if gap <= 0 || meanOn <= 0 || meanOff < 0 {
-		panic("arrivals: invalid on/off parameters")
-	}
-	var out []model.Ticks
-	t := 0.0
-	for t <= horizon {
-		onEnd := t + r.ExpFloat64()*meanOn
-		for ; t <= onEnd && t <= horizon; t += gap {
-			out = append(out, sc.Ticks(t))
-		}
-		t = onEnd + r.ExpFloat64()*meanOff
-	}
-	if len(out) == 0 {
-		out = append(out, 0)
-	}
 	return out
 }

@@ -88,9 +88,7 @@ func TestGeneratorsProduceValidTraces(t *testing.T) {
 		period := 0.5 + 5*r.Float64()
 		check("Periodic", Periodic(period, 0, 30, sc))
 		check("PaperAperiodic", PaperAperiodic(0.05+0.9*r.Float64(), 30, sc))
-		check("Jittered", Jittered(r, period, period/2, 30, sc))
 		check("Bursts", Bursts(period*3, 1+r.Intn(4), period/10, 30, sc))
-		check("Sporadic", Sporadic(r, 0.1, period, 30, sc))
 	}
 }
 
@@ -108,32 +106,5 @@ func TestScaleProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	got := Merge([]model.Ticks{5, 10}, []model.Ticks{0, 7}, nil)
-	want := []model.Ticks{0, 5, 7, 10}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Merge = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestOnOff(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		ts := OnOff(r, 0.5, 3, 10, 60, DefaultScale)
-		if !sorted(ts) || len(ts) == 0 {
-			t.Fatalf("trial %d: invalid trace", trial)
-		}
-	}
-	// With zero OFF time the source is effectively periodic at the gap.
-	ts := OnOff(rand.New(rand.NewSource(1)), 1, 1000, 0, 10, Scale{TicksPerUnit: 1})
-	for i := 1; i < len(ts); i++ {
-		if ts[i]-ts[i-1] != 1 {
-			t.Fatalf("always-on source not periodic: %v", ts)
-		}
 	}
 }

@@ -181,21 +181,3 @@ func ObservedEnvelopes(sys *model.System, log *Log, maxGroup int) []envelope.Env
 	}
 	return out
 }
-
-// FromSim converts a simulation result into a log (useful for testing
-// and for replaying simulated schedules through the checker).
-func FromSim(sys *model.System, arrival, departure [][][]model.Ticks) *Log {
-	log := &Log{}
-	for k := range sys.Jobs {
-		for j := range sys.Jobs[k].Subjobs {
-			for i := range sys.Jobs[k].Releases {
-				log.Records = append(log.Records, Record{
-					Job: k, Hop: j, Idx: i,
-					Release:  arrival[k][j][i],
-					Complete: departure[k][j][i],
-				})
-			}
-		}
-	}
-	return log
-}

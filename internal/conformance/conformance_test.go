@@ -24,6 +24,24 @@ func pipeline() *model.System {
 	}
 }
 
+// fromSim converts a simulation result into a log, so a simulated
+// schedule can be replayed through the checker.
+func fromSim(sys *model.System, arrival, departure [][][]model.Ticks) *Log {
+	log := &Log{}
+	for k := range sys.Jobs {
+		for j := range sys.Jobs[k].Subjobs {
+			for i := range sys.Jobs[k].Releases {
+				log.Records = append(log.Records, Record{
+					Job: k, Hop: j, Idx: i,
+					Release:  arrival[k][j][i],
+					Complete: departure[k][j][i],
+				})
+			}
+		}
+	}
+	return log
+}
+
 func TestSimulatedScheduleConforms(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 300; trial++ {
@@ -40,7 +58,7 @@ func TestSimulatedScheduleConforms(t *testing.T) {
 			sys.Jobs[k].Deadline = res.WCRT[k]
 		}
 		got := sim.Run(sys)
-		log := FromSim(sys, got.Arrival, got.Departure)
+		log := fromSim(sys, got.Arrival, got.Departure)
 		if v := Check(sys, log, res.WCRT); len(v) != 0 {
 			t.Fatalf("trial %d: simulated schedule flagged: %v", trial, v[0])
 		}

@@ -50,14 +50,6 @@ func (l *Limiter) Charge(curves ...*Curve) {
 	}
 }
 
-// Used reports the breakpoints charged so far. Nil-safe.
-func (l *Limiter) Used() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.used.Load()
-}
-
 // BudgetError is the typed panic payload raised by Limiter.Charge. Engines
 // recover it (via fault.Payload + errors.As) and degrade to partial results
 // instead of letting it reach an entry-point boundary as an internal error.

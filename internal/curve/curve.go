@@ -26,14 +26,6 @@ type Curve struct {
 // Equation (6) in the paper.
 func Zero() *Curve { return &Curve{constPL(0)} }
 
-// Constant returns the constant curve with value v >= 0.
-func Constant(v Value) *Curve {
-	if v < 0 {
-		panic("curve: negative constant curve")
-	}
-	return &Curve{constPL(v)}
-}
-
 // Identity returns f(t) = t, the trivial service upper bound of
 // Equation (5) in the paper and the availability of an idle processor.
 func Identity() *Curve { return &Curve{linearPL(0, 1)} }
@@ -217,43 +209,6 @@ func (c *Curve) Min(o *Curve) *Curve {
 	return fromPL(c.f.minLower(o.f), "Min")
 }
 
-// FloorDiv implements Theorem 2 of the paper: given a service curve S and
-// the execution time tau, the departure function is
-//
-//	f_dep(t) = floor( S(t) / tau ).
-//
-// The result is a staircase that jumps at the times S first reaches
-// m*tau. Because service curves have integer breakpoints and slopes in
-// {0,1}, these times are exact integers.
-func (c *Curve) FloorDiv(tau Value) *Curve {
-	if tau <= 0 {
-		panic("curve: FloorDiv with non-positive execution time")
-	}
-	var jumps []Time
-	cur := newInverseCursor(c.f)
-	for m := Value(1); ; m++ {
-		t := cur.inverse(m * tau)
-		if IsInf(t) {
-			break
-		}
-		jumps = append(jumps, t)
-		if c.f.tail == 0 {
-			// Finite total service: stop once exceeded.
-			lim := c.f.pts[len(c.f.pts)-1].Y
-			if (m+1)*tau > lim {
-				break
-			}
-		}
-		if c.f.tail > 0 && m > 1<<40 {
-			panic("curve: FloorDiv runaway on unbounded curve")
-		}
-	}
-	if len(jumps) == 0 {
-		return Zero()
-	}
-	return Staircase(jumps, 1)
-}
-
 // CompletionTimes returns, for m = 1..n, the time at which the curve first
 // reaches m*tau: under Theorem 2 these are the departure times of the first
 // n instances of a subjob with execution time tau served according to this
@@ -305,44 +260,6 @@ func (c *inverseCursor) inverse(y Value) Time {
 	}
 	// Jump at q.X (a flat segment cannot raise the value to y).
 	return q.X
-}
-
-// JumpTimes returns the jump times of a staircase curve, with multiplicity
-// given by jump height divided by height. It is the inverse of Staircase
-// and panics if the curve has a non-staircase segment or a jump that is not
-// a multiple of height.
-func (c *Curve) JumpTimes(height Value) []Time {
-	if height <= 0 {
-		panic("curve: JumpTimes height must be positive")
-	}
-	var out []Time
-	pts := c.f.pts
-	if c.f.tail != 0 {
-		panic("curve: JumpTimes of non-staircase curve (unbounded tail)")
-	}
-	prev := Value(0)
-	prevX := Time(-1)
-	for _, p := range pts {
-		if p.Y < prev {
-			panic("curve: decreasing staircase")
-		}
-		if p.Y > prev {
-			if p.X != prevX && prevX >= 0 {
-				// A strictly increasing segment (slope 1) is not a staircase.
-				panic("curve: JumpTimes of curve with sloped segment")
-			}
-			d := p.Y - prev
-			if d%height != 0 {
-				panic("curve: jump not a multiple of height")
-			}
-			for k := Value(0); k < d/height; k++ {
-				out = append(out, p.X)
-			}
-			prev = p.Y
-		}
-		prevX = p.X
-	}
-	return out
 }
 
 // Equal reports whether two curves are the same function. Canonical

@@ -48,16 +48,6 @@ func ExampleAvailability() {
 	// A(8) = 4
 }
 
-// ExampleMaxHorizontalDeviation is Theorem 1: the worst-case response is
-// the largest horizontal gap between departures and arrivals.
-func ExampleMaxHorizontalDeviation() {
-	arr := curve.Staircase([]curve.Time{0, 4}, 1)
-	dep := curve.Staircase([]curve.Time{3, 7}, 1)
-	fmt.Println(curve.MaxHorizontalDeviation(dep, arr, 2))
-	// Output:
-	// 3
-}
-
 // ExampleUtilization evaluates Theorem 7 for a FCFS processor: the busy
 // time tracks the arrived work with unit slope.
 func ExampleUtilization() {

@@ -26,7 +26,7 @@ import (
 // higher-priority interference, so B(t) = (t-9)^+ per Equation 17) already
 // credits the victim 3 units of service at t = 12 - more than the
 // schedule delivered and more even than the 2 units that exist. The sound
-// replacement (curve.LowerServiceNP) stays below the true service at all
+// replacement (curve.LowerServiceNPIn) stays below the true service at all
 // times.
 func TestPrintedTheorem5IsUnsound(t *testing.T) {
 	sys := &model.System{
@@ -93,7 +93,7 @@ func TestPrintedTheorem5IsUnsound(t *testing.T) {
 	}
 
 	// The library's corrected bound must stay below the true service.
-	lower := curve.LowerServiceNP(b, nil, nil, demand)
+	lower := curve.LowerServiceNPIn(nil, b, nil, nil, demand)
 	for at := model.Ticks(0); at <= 40; at++ {
 		if got := lower.Eval(at); got > trueService(at) {
 			t.Fatalf("corrected bound %d exceeds true service %d at t=%d", got, trueService(at), at)

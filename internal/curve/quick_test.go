@@ -126,9 +126,9 @@ func TestQuickNPBoundsOrdered(t *testing.T) {
 	prop := func(i genCont, d genStair, bRaw uint8) bool {
 		b := Value(bRaw % 40)
 		interference := []*Curve{i.C}
-		lo := LowerServiceNP(b, interference, interference, d.C)
-		up := UpperServiceNP(interference, interference, d.C)
-		lo0 := LowerServiceNP(0, interference, interference, d.C)
+		lo := LowerServiceNPIn(nil, b, interference, interference, d.C)
+		up := UpperServiceNPIn(nil, interference, interference, d.C)
+		lo0 := LowerServiceNPIn(nil, 0, interference, interference, d.C)
 		for x := Time(0); x <= 170; x += 3 {
 			if lo.Eval(x) > up.Eval(x) {
 				return false
@@ -170,8 +170,8 @@ func TestQuickFCFSComposeOrdered(t *testing.T) {
 	prop := func(d genStair, o genStair) bool {
 		total := d.C.Add(o.C)
 		util := Utilization(total)
-		lo := ComposeFCFS(d.C, total, util, false)
-		up := ComposeFCFS(d.C, total, util, true)
+		lo := ComposeFCFSIn(nil, d.C, total, util, false)
+		up := ComposeFCFSIn(nil, d.C, total, util, true)
 		for x := Time(0); x <= 170; x += 3 {
 			if lo.Eval(x) > up.Eval(x) {
 				return false
@@ -262,7 +262,7 @@ func TestQuickMaxVerticalDeviationDense(t *testing.T) {
 func TestQuickAddConstShifts(t *testing.T) {
 	prop := func(a genStair, vRaw uint8) bool {
 		v := Value(vRaw)
-		s := a.C.AddConst(v)
+		s := a.C.AddConstIn(nil, v)
 		for x := Time(0); x <= 170; x += 7 {
 			if s.Eval(x) != a.C.Eval(x)+v {
 				return false

@@ -9,6 +9,84 @@ import (
 	"testing"
 )
 
+// FloorDiv implements Theorem 2 of the paper: given a service curve S and
+// the execution time tau, the departure function is
+//
+//	f_dep(t) = floor( S(t) / tau ).
+//
+// The result is a staircase that jumps at the times S first reaches
+// m*tau. Because service curves have integer breakpoints and slopes in
+// {0,1}, these times are exact integers. The engines read the same jump
+// times straight off CompletionTimes; the staircase form is the reference
+// the tests compare it against.
+func (c *Curve) FloorDiv(tau Value) *Curve {
+	if tau <= 0 {
+		panic("curve: FloorDiv with non-positive execution time")
+	}
+	var jumps []Time
+	cur := newInverseCursor(c.f)
+	for m := Value(1); ; m++ {
+		t := cur.inverse(m * tau)
+		if IsInf(t) {
+			break
+		}
+		jumps = append(jumps, t)
+		if c.f.tail == 0 {
+			// Finite total service: stop once exceeded.
+			lim := c.f.pts[len(c.f.pts)-1].Y
+			if (m+1)*tau > lim {
+				break
+			}
+		}
+		if c.f.tail > 0 && m > 1<<40 {
+			panic("curve: FloorDiv runaway on unbounded curve")
+		}
+	}
+	if len(jumps) == 0 {
+		return Zero()
+	}
+	return Staircase(jumps, 1)
+}
+
+// JumpTimes returns the jump times of a staircase curve, with multiplicity
+// given by jump height divided by height. It is the inverse of Staircase
+// and panics if the curve has a non-staircase segment or a jump that is not
+// a multiple of height. The tests use it to read release and completion
+// lists back off staircases.
+func (c *Curve) JumpTimes(height Value) []Time {
+	if height <= 0 {
+		panic("curve: JumpTimes height must be positive")
+	}
+	var out []Time
+	pts := c.f.pts
+	if c.f.tail != 0 {
+		panic("curve: JumpTimes of non-staircase curve (unbounded tail)")
+	}
+	prev := Value(0)
+	prevX := Time(-1)
+	for _, p := range pts {
+		if p.Y < prev {
+			panic("curve: decreasing staircase")
+		}
+		if p.Y > prev {
+			if p.X != prevX && prevX >= 0 {
+				// A strictly increasing segment (slope 1) is not a staircase.
+				panic("curve: JumpTimes of curve with sloped segment")
+			}
+			d := p.Y - prev
+			if d%height != 0 {
+				panic("curve: jump not a multiple of height")
+			}
+			for k := Value(0); k < d/height; k++ {
+				out = append(out, p.X)
+			}
+			prev = p.Y
+		}
+		prevX = p.X
+	}
+	return out
+}
+
 // denseEval evaluates a Curve on the grid 0..h.
 func denseEval(c *Curve, h Time) []Value {
 	out := make([]Value, h+1)

@@ -4,7 +4,7 @@ import "sync"
 
 // Scratch is a per-evaluation bump arena for the breakpoint buffers of the
 // curve kernels. The hot transforms (sumIn, runningMinSeeded, clampMax,
-// minLower, composeMonotone, Staircase, ComposeFCFS, ...) build several
+// minLower, composeMonotone, Staircase, ComposeFCFSIn, ...) build several
 // intermediate point lists per call; without an arena every one of them is
 // a short-lived heap allocation, and the large-system analyses spend a
 // double-digit share of their time in the allocator and the garbage

@@ -1,9 +1,5 @@
 package curve
 
-import (
-	"fmt"
-)
-
 // Availability computes the availability function of Theorem 3,
 // Equation (10):
 //
@@ -16,13 +12,6 @@ import (
 // violation indicates a bug and panics.
 func Availability(services []*Curve) *Curve {
 	return fromPL(linearSubSum(nil, 0, 1, services), "Availability")
-}
-
-// AvailabilityIn is Availability with the result carved from sc: the
-// returned curve aliases the arena and is only valid until the Scratch is
-// reset, so it must stay an intermediate (Clone it to persist).
-func AvailabilityIn(sc *Scratch, services []*Curve) *Curve {
-	return fromPL(linearSubSum(sc, 0, 1, services), "Availability")
 }
 
 // AvailabilityFromResidual is Availability over a memoized residual
@@ -102,7 +91,7 @@ func UtilizationIn(sc *Scratch, total *Curve) *Curve {
 	return fromPL(serviceTransform(sc, linearPL(0, 1), total.f), "ServiceTransform")
 }
 
-// LowerServiceNP computes a sound variant of Theorem 5's lower service
+// LowerServiceNPIn computes a sound variant of Theorem 5's lower service
 // bound for static priority non-preemptive scheduling:
 //
 //	S_lower(t) = Bup(t) - b + min_{0<=s<=t} { c(s) - Blo(s) }
@@ -162,12 +151,9 @@ func UtilizationIn(sc *Scratch, total *Curve) *Curve {
 //
 // With b = 0 this is also the sound lower service bound for a *preemptive*
 // static-priority processor inside an approximate (Theorem 4) pipeline.
-func LowerServiceNP(b Value, upper, lower []*Curve, demand *Curve) *Curve {
-	return LowerServiceNPIn(nil, b, upper, lower, demand)
-}
-
-// LowerServiceNPIn is LowerServiceNP with intermediates carved from sc
-// (nil = heap). The result is always heap-backed.
+//
+// Intermediates are carved from sc (nil = heap); the result is always
+// heap-backed.
 func LowerServiceNPIn(sc *Scratch, b Value, upper, lower []*Curve, demand *Curve) *Curve {
 	if b < 0 {
 		panic("curve: negative blocking time")
@@ -232,7 +218,7 @@ func samePts(a, b pl) bool {
 }
 
 // LowerServiceNP is the Theorem 5 lower service bound over the bundle's
-// interference set; see the function LowerServiceNP for the derivation.
+// interference set; see LowerServiceNPIn for the derivation.
 // Intermediates are carved from sc (nil = heap); the result is
 // heap-backed.
 func (ni *NPInterference) LowerServiceNP(sc *Scratch, b Value, demand *Curve) *Curve {
@@ -243,7 +229,7 @@ func (ni *NPInterference) LowerServiceNP(sc *Scratch, b Value, demand *Curve) *C
 }
 
 // UpperServiceNP is the Theorem 6 upper service bound over the bundle's
-// interference set; see the function UpperServiceNP for the derivation.
+// interference set; see UpperServiceNPIn for the derivation.
 // Intermediates are carved from sc (nil = heap); the result is
 // heap-backed.
 func (ni *NPInterference) UpperServiceNP(sc *Scratch, demand *Curve) *Curve {
@@ -337,7 +323,7 @@ func insertionSortPoints(pts []Point) {
 	}
 }
 
-// UpperServiceNP computes a sound variant of Theorem 6's upper service
+// UpperServiceNPIn computes a sound variant of Theorem 6's upper service
 // bound:
 //
 //	S_upper(t) = Blo(t) + min_{0<=s<=t} { c(s) - Bup(s) }
@@ -350,19 +336,16 @@ func insertionSortPoints(pts []Point) {
 // c(s); so every candidate upper-bounds S(t) and so does their minimum.
 // (Equation (18) as printed uses Equation (19)'s B at both ends of the
 // window, which under-estimates the interference inside it and is not
-// sound for loose bounds; see LowerServiceNP.) The s = 0 seed candidate
+// sound for loose bounds; see LowerServiceNPIn.) The s = 0 seed candidate
 // Blo(t) bounds the service by the total availability. Blocking cannot
 // increase service, so no blocking term appears, matching the paper.
 //
 // The result is additionally capped by the arrived work c (the true
 // service never exceeds it), and the running maximum restores
 // monotonicity, which loose interference bounds can break.
-func UpperServiceNP(lower, upper []*Curve, demand *Curve) *Curve {
-	return UpperServiceNPIn(nil, lower, upper, demand)
-}
-
-// UpperServiceNPIn is UpperServiceNP with intermediates carved from sc
-// (nil = heap). The result is always heap-backed.
+//
+// Intermediates are carved from sc (nil = heap); the result is always
+// heap-backed.
 func UpperServiceNPIn(sc *Scratch, lower, upper []*Curve, demand *Curve) *Curve {
 	return upperServiceNP(sc, linearSubSum(sc, 0, 1, lower), linearSubSum(sc, 0, 1, upper), demand)
 }
@@ -380,7 +363,7 @@ func upperServiceNP(sc *Scratch, availT, availS pl, demand *Curve) *Curve {
 	return fromPL(raw.minLowerIn(sc, demand.f).heap(sc), "UpperServiceNP")
 }
 
-// ComposeFCFS evaluates the FCFS service bounds of Theorems 8 and 9:
+// ComposeFCFSIn evaluates the FCFS service bounds of Theorems 8 and 9:
 //
 //	S_lower(t) = c( G^-1( U(t) ) )            (Equation 22)
 //	S_upper(t) = c( G^-1( U(t) ) ) + tau      (Equation 23)
@@ -405,16 +388,13 @@ func upperServiceNP(sc *Scratch, availT, availS pl, demand *Curve) *Curve {
 //     the first G(x_j-) units are pending, so service beyond level
 //     c(x_j-) is impossible before U(t) exceeds G(x_j-) (left value);
 //     jumping at U^-1(G(x_j-)) is at most one tick early, staying sound.
-func ComposeFCFS(demand, total, util *Curve, upper bool) *Curve {
-	return ComposeFCFSIn(nil, demand, total, util, upper)
-}
-
-// ComposeFCFSIn is ComposeFCFS with the result carved from sc (nil =
-// heap); an arena-backed result must be Cloned to outlive the checkout.
-// The workload G is read at the increasing jump times x_j and the
-// utilization inverse at the non-decreasing levels G(x_j), both with
-// forward cursors, so the whole composition is a single linear sweep
-// instead of two binary searches per jump.
+//
+// The result is carved from sc (nil = heap); an arena-backed result must
+// be Cloned to outlive the checkout. The workload G is read at the
+// increasing jump times x_j and the utilization inverse at the
+// non-decreasing levels G(x_j), both with forward cursors, so the whole
+// composition is a single linear sweep instead of two binary searches per
+// jump.
 func ComposeFCFSIn(sc *Scratch, demand, total, util *Curve, upper bool) *Curve {
 	dp := demand.f.pts
 	pts := sc.take(2*len(dp) + 1)
@@ -453,47 +433,13 @@ func ComposeFCFSIn(sc *Scratch, demand, total, util *Curve, upper bool) *Curve {
 	return fromPL(canonIn(sc, pts, 0), "ComposeFCFS")
 }
 
-// AddConst returns the curve shifted up by v >= 0 (Theorem 9's +tau).
-func (c *Curve) AddConst(v Value) *Curve { return c.AddConstIn(nil, v) }
-
-// AddConstIn is AddConst carved from sc (nil = heap).
+// AddConstIn returns the curve shifted up by v >= 0 (Theorem 9's +tau),
+// carved from sc (nil = heap).
 func (c *Curve) AddConstIn(sc *Scratch, v Value) *Curve {
 	if v < 0 {
 		panic("curve: AddConst with negative value")
 	}
 	return fromPL(c.f.addConst(sc, v), "AddConst")
-}
-
-// MaxVerticalDeviation returns the largest vertical distance
-// max_t (upper(t) - lower(t)) between two curves, or ok=false when the
-// gap grows without bound (diverging tails). For an arrival upper bound
-// and a departure lower bound of one subjob this is the maximum backlog -
-// the number of instances simultaneously pending - which sizes the
-// subjob's input queue; MaxBacklog computes the same number straight from
-// the release and completion times.
-func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
-	if upper.f.tail > lower.f.tail {
-		return 0, false
-	}
-	// The difference is piecewise linear; its maximum sits at a
-	// breakpoint of either curve (evaluating both one-sided limits
-	// handles jumps). Each curve's breakpoints are sorted, so both curves
-	// are walked with forward cursors.
-	var best Value
-	for _, f := range [2]pl{upper.f, lower.f} {
-		u, l := newEvalCursor(upper.f), newEvalCursor(lower.f)
-		for _, p := range f.pts {
-			if d := u.right(p.X) - l.right(p.X); d > best {
-				best = d
-			}
-			if p.X > 0 {
-				if d := u.left(p.X) - l.left(p.X); d > best {
-					best = d
-				}
-			}
-		}
-	}
-	return best, true
 }
 
 // MaxBacklog returns the largest number of instances released but not yet
@@ -502,11 +448,11 @@ func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
 //	max_t ( |{i : arr[i] <= t}| - |{j : dep[j] <= t}| ),
 //
 // for ascending release times arr and ascending completion times dep (an
-// Inf entry never completes). It equals MaxVerticalDeviation over
-// Staircase(arr, 1) and Staircase(dep, 1) without building either curve:
-// between releases the released count is constant and the completed count
-// only grows, so the maximum sits at a release time, and one two-pointer
-// walk over both lists finds it.
+// Inf entry never completes). It is the largest vertical distance from
+// Staircase(dep, 1) up to Staircase(arr, 1), found without building either
+// curve: between releases the released count is constant and the completed
+// count only grows, so the maximum sits at a release time, and one
+// two-pointer walk over both lists finds it.
 func MaxBacklog(arr, dep []Time) Value {
 	var best Value
 	j := 0
@@ -519,37 +465,4 @@ func MaxBacklog(arr, dep []Time) Value {
 		}
 	}
 	return best
-}
-
-// MaxHorizontalDeviation returns the largest horizontal distance from the
-// reference staircase to this curve over the first n instances:
-//
-//	max_{1<=m<=n} ( this^-1(m) - ref^-1(m) )
-//
-// This is Theorem 1 when this is the final departure function and ref the
-// first arrival function, and Equation (12) of Theorem 4 when they are the
-// per-hop departure lower bound and arrival upper bound. The returned
-// value is Inf if any instance is never completed; it is never negative
-// for sound inputs (a departure cannot precede its release), and the
-// method panics if it would be, as that indicates an analysis bug.
-func MaxHorizontalDeviation(this, ref *Curve, n int) Time {
-	var d Time
-	dc, rc := newInverseCursor(this.f), newInverseCursor(ref.f)
-	for m := 1; m <= n; m++ {
-		td := dc.inverse(Value(m))
-		if IsInf(td) {
-			return Inf
-		}
-		ta := rc.inverse(Value(m))
-		if IsInf(ta) {
-			panic(fmt.Sprintf("curve: reference staircase has no instance %d", m))
-		}
-		if td < ta {
-			panic(fmt.Sprintf("curve: instance %d departs at %d before reference %d", m, td, ta))
-		}
-		if td-ta > d {
-			d = td - ta
-		}
-	}
-	return d
 }

@@ -123,7 +123,7 @@ func TestLowerServiceNPDense(t *testing.T) {
 		}
 		tau := Value(1 + r.Intn(8))
 		demand, _ := randStaircase(r, 10, h, tau)
-		s := LowerServiceNP(b, upper, lower, demand)
+		s := LowerServiceNPIn(nil, b, upper, lower, demand)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -172,7 +172,7 @@ func TestUpperServiceNPDense(t *testing.T) {
 		}
 		tau := Value(1 + r.Intn(8))
 		demand, _ := randStaircase(r, 10, h, tau)
-		s := UpperServiceNP(lower, upper, demand)
+		s := UpperServiceNPIn(nil, lower, upper, demand)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -197,7 +197,7 @@ func TestComposeFCFSDense(t *testing.T) {
 		total := demand.Add(other)
 		util := Utilization(total)
 		for _, upper := range []bool{false, true} {
-			got := ComposeFCFS(demand, total, util, upper)
+			got := ComposeFCFSIn(nil, demand, total, util, upper)
 			if err := got.Validate(); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -276,19 +276,6 @@ func TestMinLowerFractionalCrossing(t *testing.T) {
 	}
 }
 
-func TestMaxHorizontalDeviation(t *testing.T) {
-	arr := Staircase([]Time{0, 10, 20}, 1)
-	dep := Staircase([]Time{7, 15, 33}, 1)
-	if got := MaxHorizontalDeviation(dep, arr, 3); got != 13 {
-		t.Fatalf("deviation = %d, want 13", got)
-	}
-	// An instance that never departs yields Inf.
-	dep2 := Staircase([]Time{7, 15}, 1)
-	if got := MaxHorizontalDeviation(dep2, arr, 3); !IsInf(got) {
-		t.Fatalf("deviation = %d, want Inf", got)
-	}
-}
-
 func TestAvailability(t *testing.T) {
 	// One higher-priority service consuming [5,15): A flat there.
 	s := fromPL(canon([]Point{{0, 0}, {5, 0}, {15, 10}}, 0), "test")
@@ -299,6 +286,37 @@ func TestAvailability(t *testing.T) {
 			t.Fatalf("A(%d) = %d, want %d", x, got, want)
 		}
 	}
+}
+
+// MaxVerticalDeviation returns the largest vertical distance
+// max_t (upper(t) - lower(t)) between two curves, or ok=false when the
+// gap grows without bound (diverging tails). For an arrival upper bound
+// and a departure lower bound of one subjob this is the maximum backlog,
+// so it is the test oracle for MaxBacklog, which computes the same number
+// straight from the release and completion times.
+func MaxVerticalDeviation(upper, lower *Curve) (Value, bool) {
+	if upper.f.tail > lower.f.tail {
+		return 0, false
+	}
+	// The difference is piecewise linear; its maximum sits at a
+	// breakpoint of either curve (evaluating both one-sided limits
+	// handles jumps). Each curve's breakpoints are sorted, so both curves
+	// are walked with forward cursors.
+	var best Value
+	for _, f := range [2]pl{upper.f, lower.f} {
+		u, l := newEvalCursor(upper.f), newEvalCursor(lower.f)
+		for _, p := range f.pts {
+			if d := u.right(p.X) - l.right(p.X); d > best {
+				best = d
+			}
+			if p.X > 0 {
+				if d := u.left(p.X) - l.left(p.X); d > best {
+					best = d
+				}
+			}
+		}
+	}
+	return best, true
 }
 
 // TestMaxBacklogMatchesVerticalDeviation: the two-pointer backlog count

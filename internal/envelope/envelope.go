@@ -107,28 +107,6 @@ func (e Envelope) Validate() error {
 	return nil
 }
 
-// Normalize tightens the vector to its superadditive closure: a group of
-// a+2 instances and a group of b+2 instances sharing one instance cover
-// a+b+3 consecutive instances (gap index a+b+1), so
-// MinGap[a+b+1] >= MinGap[a] + MinGap[b]; the entrywise maximum over all
-// such splits is an equivalent, tighter envelope.
-func (e Envelope) Normalize() Envelope {
-	out := Envelope{MinGap: append([]model.Ticks(nil), e.MinGap...)}
-	n := len(out.MinGap)
-	for i := 1; i < n; i++ {
-		for a := 0; a <= i-1; a++ {
-			b := i - 1 - a
-			if b >= n {
-				continue
-			}
-			if s := out.MinGap[a] + out.MinGap[b]; s > out.MinGap[i] {
-				out.MinGap[i] = s
-			}
-		}
-	}
-	return out
-}
-
 // Admits reports whether the trace satisfies the envelope.
 func (e Envelope) Admits(trace []model.Ticks) bool {
 	for i := range trace {

@@ -28,12 +28,3 @@ func ExampleFromTrace() {
 	// true
 	// false
 }
-
-// ExampleEnvelope_Normalize tightens a contract with its superadditive
-// closure: pairs 10 apart force any 3 instances to span at least 20.
-func ExampleEnvelope_Normalize() {
-	e := envelope.Envelope{MinGap: []int64{10, 12}}
-	fmt.Println(e.Normalize().MinGap)
-	// Output:
-	// [10 20]
-}

@@ -17,7 +17,7 @@
 //
 // With exact arrivals (e.g. on the first hop) both collapse to the paper's
 // formulas, up to the simultaneous-arrival tie-breaking correction
-// documented at curve.ComposeFCFS.
+// documented at curve.ComposeFCFSIn.
 package fcfs
 
 import (
@@ -25,24 +25,17 @@ import (
 	"rta/internal/model"
 )
 
-// Bounds computes the (lower, upper) service bounds for one subjob on a
-// FCFS processor.
+// BoundsFromTotals computes the (lower, upper) service bounds for one
+// subjob on a FCFS processor.
 //
 // demandLo/demandHi are the subjob's workload staircases from latest and
 // earliest arrivals; totalLo/totalHi the processor-wide sums of the same
 // (Equation 21, including the subjob itself); exec the subjob's execution
-// time tau.
-func Bounds(exec model.Ticks, demandLo, demandHi, totalLo, totalHi *curve.Curve) (lo, hi *curve.Curve) {
-	utilLo := curve.Utilization(totalLo) // Theorem 7 on the sparsest workload
-	utilHi := curve.Utilization(totalHi) // and on the densest
-	return BoundsFromTotals(nil, exec, demandLo, demandHi, totalLo, totalHi, utilLo, utilHi)
-}
-
-// BoundsFromTotals is Bounds taking precomputed utilization functions
-// alongside the totals: they depend only on the processor-wide workload,
-// so the engines compute each once per processor (sched.Memo) instead of
-// once per subjob. Intermediates are carved from sc (nil = heap); the
-// returned bounds are always heap-backed.
+// time tau. utilLo/utilHi are the utilization functions (Theorem 7) of
+// totalLo and totalHi: they depend only on the processor-wide workload, so
+// the engines compute each once per processor (sched.Memo) instead of once
+// per subjob. Intermediates are carved from sc (nil = heap); the returned
+// bounds are always heap-backed.
 func BoundsFromTotals(sc *curve.Scratch, exec model.Ticks, demandLo, demandHi, totalLo, totalHi, utilLo, utilHi *curve.Curve) (lo, hi *curve.Curve) {
 	lo = curve.ComposeFCFSIn(sc, demandLo, totalHi, utilLo, false) // Theorem 8
 	hi = curve.ComposeFCFSIn(sc, demandHi, totalLo, utilHi, true). // Theorem 9

@@ -61,7 +61,8 @@ func bounds(arr [][]model.Ticks, exec []model.Ticks, s int) (lo, hi *curve.Curve
 		curves[o] = curve.Staircase(arr[o], curve.Value(exec[o]))
 	}
 	total := curve.Sum(curves...)
-	return fcfs.Bounds(exec[s], demand, demand, total, total)
+	util := curve.Utilization(total)
+	return fcfs.BoundsFromTotals(nil, exec[s], demand, demand, total, total, util, util)
 }
 
 // TestBoundsBracketSimulation: on exact arrival traces the Theorem 8/9
@@ -149,8 +150,9 @@ func TestMonotoneInTotalWorkload(t *testing.T) {
 		extra := curve.Staircase(other, curve.Value(1+r.Intn(4)))
 		totalAlone := demand
 		totalBoth := curve.Sum(demand, extra)
-		loAlone, _ := fcfs.Bounds(exec, demand, demand, totalAlone, totalAlone)
-		loBoth, _ := fcfs.Bounds(exec, demand, demand, totalBoth, totalBoth)
+		utilAlone, utilBoth := curve.Utilization(totalAlone), curve.Utilization(totalBoth)
+		loAlone, _ := fcfs.BoundsFromTotals(nil, exec, demand, demand, totalAlone, totalAlone, utilAlone, utilAlone)
+		loBoth, _ := fcfs.BoundsFromTotals(nil, exec, demand, demand, totalBoth, totalBoth, utilBoth, utilBoth)
 		for x := model.Ticks(0); x < 200; x++ {
 			if loBoth.Eval(x) > loAlone.Eval(x) {
 				t.Fatalf("trial %d: extra workload raised the lower bound at t=%d: %d > %d",

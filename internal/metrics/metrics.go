@@ -167,35 +167,3 @@ func Render(w io.Writer, sys *model.System, rep *Report) {
 			sys.ProcName(p), pm.Busy, pm.Span, pm.Segments, pm.Preemptions, pm.Utilization())
 	}
 }
-
-// MaxBacklog returns the observed maximum number of simultaneously
-// pending instances of subjob (k,j) - released at that hop but not yet
-// completed - from a simulation run. The analytical counterparts are
-// spp.Result.Backlog (exact) and analysis.Hop.Backlog (bound).
-func MaxBacklog(res *sim.Result, k, j int) int {
-	type ev struct {
-		at    model.Ticks
-		delta int
-	}
-	evs := make([]ev, 0, 2*len(res.Arrival[k][j]))
-	for i := range res.Arrival[k][j] {
-		evs = append(evs, ev{res.Arrival[k][j][i], +1})
-		evs = append(evs, ev{res.Departure[k][j][i], -1})
-	}
-	// Departures sort before arrivals at equal instants: a completing
-	// instance is no longer pending when its successor arrives.
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
-		}
-		return evs[a].delta < evs[b].delta
-	})
-	cur, max := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > max {
-			max = cur
-		}
-	}
-	return max
-}

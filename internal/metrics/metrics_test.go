@@ -110,34 +110,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestMaxBacklogAgainstExact(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 200; trial++ {
-		sys := randsys.New(r, randsys.Default)
-		res := sim.Run(sys)
-		for k := range sys.Jobs {
-			for j := range sys.Jobs[k].Subjobs {
-				// Every instance pends from its arrival until its
-				// completion (execution takes at least one tick), so the
-				// maximum is at least one.
-				if b := MaxBacklog(res, k, j); b < 1 {
-					t.Fatalf("trial %d: backlog %d below 1", trial, b)
-				}
-			}
-		}
-	}
-	// Hand case: burst of 3 simultaneous releases, exec 2 each.
-	sys := &model.System{
-		Procs: []model.Processor{{Sched: model.SPP}},
-		Jobs: []model.Job{{Deadline: 100,
-			Subjobs:  []model.Subjob{{Proc: 0, Exec: 2}},
-			Releases: []model.Ticks{5, 5, 5}}},
-	}
-	if b := MaxBacklog(sim.Run(sys), 0, 0); b != 3 {
-		t.Fatalf("burst backlog = %d, want 3", b)
-	}
-}
-
 // TestQuantileNearestRank pins the nearest-rank convention — rank
 // ceil(q*n), 1-indexed — on hand-checked samples. The n=7/q=0.9 and
 // n=10/q=0.99 rows fail under the old int(q*n+0.5)-1 rounding, which sat

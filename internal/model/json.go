@@ -371,10 +371,3 @@ func LoadJobLimited(r io.Reader, lim Limits) (Job, error) {
 	}
 	return doc.build(), nil
 }
-
-// Dump writes the system as indented JSON.
-func Dump(w io.Writer, s *System) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

@@ -522,23 +522,6 @@ func (s *System) Blocking(r SubjobRef) Ticks {
 	return s.Topology().Blocking(r)
 }
 
-// Revisits reports whether any job visits the same processor on two
-// different hops (a "physical loop" in the paper's terminology). The exact
-// analysis of Section 4.1 does not apply to such systems; the iterative
-// extension in the analysis package handles them.
-func (s *System) Revisits() bool {
-	for k := range s.Jobs {
-		seen := map[int]bool{}
-		for _, sj := range s.Jobs[k].Subjobs {
-			if seen[sj.Proc] {
-				return true
-			}
-			seen[sj.Proc] = true
-		}
-	}
-	return false
-}
-
 // Clone returns a deep copy of the system.
 func (s *System) Clone() *System {
 	out := &System{
@@ -592,25 +575,6 @@ func (s *System) TotalWork(p int) Ticks {
 	return w
 }
 
-// NextReleases maps the completion times of hop `hop` of job k to the
-// release times of hop hop+1 under the job's synchronization policy (plus
-// the hop's constant PostDelay). Inf entries (instances never certified to
-// complete) stay Inf. The same deterministic transformation applies to
-// exact departure times and to departure-time bounds: it is monotone in
-// every input, so applying it to a sound upper (lower) bound vector
-// yields a sound upper (lower) bound on the releases.
-func (s *System) NextReleases(k, hop int, dep []Ticks) []Ticks {
-	delay := s.Jobs[k].Subjobs[hop].PostDelay
-	out := make([]Ticks, len(dep))
-	for i, t := range dep {
-		if t != infTicks {
-			t += delay
-		}
-		out[i] = t
-	}
-	return s.applySync(k, hop+1, out)
-}
-
 // infTicks is the "never" sentinel shared with the analysis packages
 // (curve.Inf): an instance not certified to complete within the horizon.
 const infTicks = Ticks(1<<63 - 1)
@@ -621,8 +585,8 @@ const infTicks = Ticks(1<<63 - 1)
 // the contributions merge by elementwise max — a join hop is released
 // only when ALL predecessors have delivered — and the job's
 // synchronization policy is applied to the merged vector at hop `hop`.
-// Inf entries stay Inf. With a single predecessor this reduces exactly
-// to NextReleases. Like NextReleases the transformation is monotone in
+// Inf entries stay Inf. The same deterministic transformation applies to
+// exact departure times and to departure-time bounds: it is monotone in
 // every input, so applying it to sound upper (lower) bound vectors
 // yields sound upper (lower) bounds on the releases; the sync transform
 // runs after the merge because ReleaseGuard applied per edge and then
@@ -699,22 +663,6 @@ func (s *System) SubjobCount() int {
 		n += len(s.Jobs[k].Subjobs)
 	}
 	return n
-}
-
-// TraceUtilization returns processor p's demanded utilization over the
-// release span: total work of its subjobs divided by the span from the
-// first release to the last release plus the trailing work. A value
-// above 1 guarantees unbounded backlog growth within the trace.
-func (s *System) TraceUtilization(p int) float64 {
-	work := s.TotalWork(p)
-	if work == 0 {
-		return 0
-	}
-	span := s.MaxRelease()
-	if span == 0 {
-		return 1
-	}
-	return float64(work) / float64(span)
 }
 
 // String summarizes the system in one line for logs and error messages.

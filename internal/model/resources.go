@@ -83,15 +83,6 @@ func (s *System) HasResources() bool {
 	return false
 }
 
-// Ceiling returns the resource's priority ceiling on its processor: the
-// highest (numerically smallest) priority among the subjobs that use it.
-// The boolean reports whether the resource is used at all. Cached in the
-// topology index.
-func (s *System) Ceiling(resource int) (int, bool) {
-	c, ok := s.Topology().Ceilings()[resource]
-	return c, ok
-}
-
 // PCPBlocking returns the worst-case blocking of subjob r on its SPP
 // processor under the (immediate) priority ceiling protocol: the longest
 // critical section of any strictly lower-priority subjob on the same

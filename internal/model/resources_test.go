@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -53,13 +54,14 @@ func TestResourceValidation(t *testing.T) {
 
 func TestCeilingAndBlocking(t *testing.T) {
 	s := resourceSystem()
-	if c, ok := s.Ceiling(1); !ok || c != 0 {
+	ceilings := s.Topology().Ceilings()
+	if c, ok := ceilings[1]; !ok || c != 0 {
 		t.Fatalf("Ceiling(1) = %d,%v; want 0,true", c, ok)
 	}
-	if c, ok := s.Ceiling(2); !ok || c != 4 {
+	if c, ok := ceilings[2]; !ok || c != 4 {
 		t.Fatalf("Ceiling(2) = %d,%v; want 4,true", c, ok)
 	}
-	if _, ok := s.Ceiling(9); ok {
+	if _, ok := ceilings[9]; ok {
 		t.Fatal("Ceiling(9) should not exist")
 	}
 	// Job 1 (prio 0): blocked by job 2's 8-tick section on resource 1
@@ -83,7 +85,7 @@ func TestCeilingAndBlocking(t *testing.T) {
 func TestResourceJSONRoundTrip(t *testing.T) {
 	s := resourceSystem()
 	var b strings.Builder
-	if err := Dump(&b, s); err != nil {
+	if err := json.NewEncoder(&b).Encode(s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(strings.NewReader(b.String()))

@@ -51,7 +51,7 @@ func TestJSONRoundTripAllSchedulers(t *testing.T) {
 	for _, s := range scheds {
 		sys := registeredSystem(t, s)
 		var buf bytes.Buffer
-		if err := model.Dump(&buf, sys); err != nil {
+		if err := json.NewEncoder(&buf).Encode(sys); err != nil {
 			t.Fatalf("%v: dump: %v", s, err)
 		}
 		if !strings.Contains(buf.String(), `"`+s.String()+`"`) {

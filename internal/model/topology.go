@@ -1,7 +1,7 @@
 package model
 
 // The topology index caches every per-processor view the analyses need —
-// subjob lists, priority orders, higher/lower-priority neighbor sets,
+// subjob lists, priority orders, higher-priority neighbor sets,
 // blocking terms and resource ceilings — so the engines stop re-scanning
 // and re-sorting the job table on every query. The index is built lazily
 // on first use and keyed by a fingerprint of the topology-relevant fields,
@@ -38,7 +38,6 @@ type Topology struct {
 	onProcPos []int
 	// Per subjob id, in deterministic (job, hop) order:
 	higher      [][]SubjobRef // strictly higher-priority subjobs on the same processor
-	lower       [][]SubjobRef // strictly lower-priority subjobs on the same processor
 	blocking    []Ticks       // Equation (15)
 	pcpBlocking []Ticks       // priority-ceiling blocking (resources.go)
 	ceilings    map[int]int   // resource -> priority ceiling
@@ -248,13 +247,12 @@ func buildTopology(s *System, sig uint64) *Topology {
 	}
 	// Neighbor sets and blocking terms, per subjob, in (job, hop) order.
 	t.higher = make([][]SubjobRef, n)
-	t.lower = make([][]SubjobRef, n)
 	t.blocking = make([]Ticks, n)
 	t.pcpBlocking = make([]Ticks, n)
 	for _, r := range t.refs {
 		id := t.ID(r)
 		self := s.Subjob(r)
-		var hi, lo []SubjobRef
+		var hi []SubjobRef
 		for _, o := range t.onProc[self.Proc] {
 			if o == r {
 				continue
@@ -263,7 +261,6 @@ func buildTopology(s *System, sig uint64) *Topology {
 				hi = append(hi, o)
 				continue
 			}
-			lo = append(lo, o)
 			osj := s.Subjob(o)
 			if osj.Exec > t.blocking[id] {
 				t.blocking[id] = osj.Exec
@@ -275,7 +272,6 @@ func buildTopology(s *System, sig uint64) *Topology {
 			}
 		}
 		t.higher[id] = hi
-		t.lower[id] = lo
 	}
 	buildDependencyGraph(s, t, n)
 	return t
@@ -536,10 +532,6 @@ func (t *Topology) Procs() int { return len(t.onProc) }
 // Higher returns the strictly higher-priority subjobs on r's processor in
 // (job, hop) order. Shared slice; do not mutate.
 func (t *Topology) Higher(r SubjobRef) []SubjobRef { return t.higher[t.ID(r)] }
-
-// Lower returns the strictly lower-priority subjobs on r's processor in
-// (job, hop) order. Shared slice; do not mutate.
-func (t *Topology) Lower(r SubjobRef) []SubjobRef { return t.lower[t.ID(r)] }
 
 // Blocking returns the cached Equation (15) blocking term of r.
 func (t *Topology) Blocking(r SubjobRef) Ticks { return t.blocking[t.ID(r)] }

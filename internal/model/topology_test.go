@@ -46,9 +46,9 @@ func bruteByPriority(sys *model.System, p int) []model.SubjobRef {
 	return out
 }
 
-// bruteNeighbors recomputes the higher/lower split, the Equation (15)
+// bruteNeighbors recomputes the higher-priority set, the Equation (15)
 // blocking term and the priority-ceiling blocking of subjob r.
-func bruteNeighbors(sys *model.System, r model.SubjobRef) (hi, lo []model.SubjobRef, blocking, pcp model.Ticks) {
+func bruteNeighbors(sys *model.System, r model.SubjobRef) (hi []model.SubjobRef, blocking, pcp model.Ticks) {
 	self := sys.Subjob(r)
 	for _, o := range bruteOnProc(sys, self.Proc) {
 		if o == r {
@@ -58,7 +58,6 @@ func bruteNeighbors(sys *model.System, r model.SubjobRef) (hi, lo []model.Subjob
 			hi = append(hi, o)
 			continue
 		}
-		lo = append(lo, o)
 		osj := sys.Subjob(o)
 		if osj.Exec > blocking {
 			blocking = osj.Exec
@@ -69,7 +68,7 @@ func bruteNeighbors(sys *model.System, r model.SubjobRef) (hi, lo []model.Subjob
 			}
 		}
 	}
-	return hi, lo, blocking, pcp
+	return hi, blocking, pcp
 }
 
 func bruteCeiling(sys *model.System, resource int) (int, bool) {
@@ -129,12 +128,9 @@ func checkAgainstBrute(t *testing.T, sys *model.System, label string) {
 	for k := range sys.Jobs {
 		for j := range sys.Jobs[k].Subjobs {
 			r := model.SubjobRef{Job: k, Hop: j}
-			hi, lo, blocking, pcp := bruteNeighbors(sys, r)
+			hi, blocking, pcp := bruteNeighbors(sys, r)
 			if !sameRefs(topo.Higher(r), hi) {
 				t.Fatalf("%s: Higher(%v) = %v, want %v", label, r, topo.Higher(r), hi)
-			}
-			if !sameRefs(topo.Lower(r), lo) {
-				t.Fatalf("%s: Lower(%v) = %v, want %v", label, r, topo.Lower(r), lo)
 			}
 			if got := topo.Blocking(r); got != blocking {
 				t.Fatalf("%s: Blocking(%v) = %d, want %d", label, r, got, blocking)
@@ -147,7 +143,7 @@ func checkAgainstBrute(t *testing.T, sys *model.System, label string) {
 			}
 			for _, cs := range sys.Subjob(r).CS {
 				wc, wok := bruteCeiling(sys, cs.Resource)
-				gc, gok := sys.Ceiling(cs.Resource)
+				gc, gok := topo.Ceilings()[cs.Resource]
 				if gc != wc || gok != wok {
 					t.Fatalf("%s: Ceiling(%d) = (%d,%v), want (%d,%v)", label, cs.Resource, gc, gok, wc, wok)
 				}

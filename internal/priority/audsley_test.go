@@ -23,7 +23,9 @@ func exactVerdict(sys *model.System, job int) (bool, error) {
 // TestAudsleyBeatsDeadlineMonotonicSingleProc: on a single processor
 // Audsley is optimal, so whenever the deadline-monotonic assignment is
 // schedulable Audsley must find a schedulable assignment too - and it
-// finds some DM misses.
+// finds some DM misses. With one hop per job, Equation (24)'s sub-deadline
+// is the job's deadline, so RelativeDeadlineMonotonic is deadline
+// monotonic here.
 func TestAudsleyBeatsDeadlineMonotonicSingleProc(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	dmOK, audOK := 0, 0
@@ -38,7 +40,7 @@ func TestAudsleyBeatsDeadlineMonotonicSingleProc(t *testing.T) {
 		}
 
 		dm := sys.Clone()
-		priority.DeadlineMonotonic(dm)
+		priority.RelativeDeadlineMonotonic(dm)
 		res, err := analysis.Exact(dm)
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +129,7 @@ func TestAudsleyFindsNonDMSolution(t *testing.T) {
 	}
 	// DM: job2 (deadline 12) above job1: job1 responds 10+2+2 = 14 <= 20 OK.
 	dm := sys.Clone()
-	priority.DeadlineMonotonic(dm)
+	priority.RelativeDeadlineMonotonic(dm)
 	res, err := analysis.Exact(dm)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package priority assigns static priorities to subjobs. The analyses
 // accept arbitrary assignments (Section 3.2); the paper's evaluation uses
 // the relative-deadline-monotonic rule of Equation (24), implemented here
-// along with the classic global alternatives.
+// along with Audsley's optimal priority assignment.
 package priority
 
 import (
@@ -45,42 +45,6 @@ func RelativeDeadlineMonotonic(sys *model.System) {
 		})
 		for rank, e := range entries {
 			sys.Subjob(e.ref).Priority = rank
-		}
-	}
-}
-
-// DeadlineMonotonic ranks subjobs on each processor by their job's
-// end-to-end deadline (smaller deadline = higher priority).
-func DeadlineMonotonic(sys *model.System) {
-	byKey(sys, func(ref model.SubjobRef) float64 {
-		return float64(sys.Jobs[ref.Job].Deadline)
-	})
-}
-
-// RateMonotonic ranks subjobs on each processor by the given per-job
-// periods (smaller period = higher priority). Periods are supplied
-// separately because the trace-based model does not assume periodicity.
-func RateMonotonic(sys *model.System, periods []model.Ticks) {
-	byKey(sys, func(ref model.SubjobRef) float64 {
-		return float64(periods[ref.Job])
-	})
-}
-
-func byKey(sys *model.System, key func(model.SubjobRef) float64) {
-	for p := range sys.Procs {
-		refs := sys.OnProc(p)
-		sort.SliceStable(refs, func(a, b int) bool {
-			ka, kb := key(refs[a]), key(refs[b])
-			if ka != kb {
-				return ka < kb
-			}
-			if refs[a].Job != refs[b].Job {
-				return refs[a].Job < refs[b].Job
-			}
-			return refs[a].Hop < refs[b].Hop
-		})
-		for rank, ref := range refs {
-			sys.Subjob(ref).Priority = rank
 		}
 	}
 }

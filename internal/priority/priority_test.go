@@ -39,26 +39,6 @@ func TestRelativeDeadlineMonotonic(t *testing.T) {
 	}
 }
 
-func TestDeadlineMonotonic(t *testing.T) {
-	s := shop()
-	DeadlineMonotonic(s)
-	// T2's deadline (40) beats T1's (100) everywhere.
-	if s.Jobs[1].Subjobs[0].Priority != 0 || s.Jobs[1].Subjobs[1].Priority != 0 {
-		t.Error("T2 should have rank 0 on both processors")
-	}
-	if s.Jobs[0].Subjobs[0].Priority != 1 || s.Jobs[0].Subjobs[1].Priority != 1 {
-		t.Error("T1 should have rank 1 on both processors")
-	}
-}
-
-func TestRateMonotonic(t *testing.T) {
-	s := shop()
-	RateMonotonic(s, []model.Ticks{5, 50})
-	if s.Jobs[0].Subjobs[0].Priority != 0 || s.Jobs[1].Subjobs[0].Priority != 1 {
-		t.Error("shorter period must rank first")
-	}
-}
-
 func TestTieBreakDeterministic(t *testing.T) {
 	s := shop()
 	// Make sub-deadlines equal: same exec shares and deadlines.

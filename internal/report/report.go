@@ -139,21 +139,3 @@ func tick(t model.Ticks) string {
 	}
 	return fmt.Sprint(t)
 }
-
-// Summary returns the one-line verdict used in logs: "N/M jobs
-// guaranteed".
-func Summary(sys *model.System) (string, error) {
-	res, err := analysis.Analyze(sys)
-	if err != nil {
-		return "", err
-	}
-	ok := 0
-	for k := range sys.Jobs {
-		if !curve.IsInf(res.WCRTSum[k]) && res.WCRTSum[k] <= sys.Jobs[k].Deadline {
-			ok++
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d/%d jobs guaranteed (%s)", ok, len(sys.Jobs), res.Method)
-	return b.String(), nil
-}

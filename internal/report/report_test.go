@@ -77,25 +77,6 @@ func TestWriteDetectsMiss(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	s, err := Summary(demoSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != "2/2 jobs guaranteed (App)" {
-		t.Fatalf("summary = %q", s)
-	}
-	sys := demoSystem()
-	sys.Jobs[0].Deadline = 5
-	s, err = Summary(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(s, "1/2 jobs guaranteed") {
-		t.Fatalf("summary = %q", s)
-	}
-}
-
 func TestWriteHTML(t *testing.T) {
 	var buf bytes.Buffer
 	sys := demoSystem()

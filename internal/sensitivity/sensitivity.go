@@ -38,53 +38,11 @@ func Theorem4Verdict(sys *model.System) ([]model.Ticks, error) {
 	return res.WCRTSum, nil
 }
 
-// SessionVerdict returns a Verdict backed by a warm analysis.Session
-// seeded with base. Each call syncs the session's working system to the
-// queried one — which must keep base's structure: same processors, job
-// count and per-job hop counts, as ScaleExec and parameter edits do —
-// and re-converges only the dependency cone of what changed, so a
-// Breakdown frontier scan over hundreds of grid points reuses everything
-// the previous point already computed. Bounds are bit-identical to the
-// cold verdicts: ExactVerdict on all-SPP resource-free systems (where
-// the end-to-end exact bound is the WCRT), Theorem4Verdict otherwise.
-// The returned Verdict is not safe for concurrent use.
-func SessionVerdict(base *model.System, opts analysis.Options) (Verdict, error) {
-	sess, err := analysis.NewSession(base, analysis.SessionConfig{Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	return func(sys *model.System) ([]model.Ticks, error) {
-		if err := sess.Mutate(func(m *model.System) error {
-			if len(m.Jobs) != len(sys.Jobs) {
-				return errors.New("sensitivity: queried system must keep the session's job set")
-			}
-			for k := range m.Jobs {
-				j := sys.Jobs[k]
-				j.Subjobs = append([]model.Subjob(nil), j.Subjobs...)
-				for x := range j.Subjobs {
-					j.Subjobs[x].CS = append([]model.CriticalSection(nil), j.Subjobs[x].CS...)
-				}
-				j.Releases = append([]model.Ticks(nil), j.Releases...)
-				j.Phases = append([]model.Ticks(nil), j.Phases...)
-				m.Jobs[k] = j
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		res, err := sess.Converge()
-		if err != nil {
-			return nil, err
-		}
-		return res.WCRTSum, nil
-	}, nil
-}
-
-// Slack returns, per job, the distance between the end-to-end deadline
-// and the computed worst-case response bound. Negative slack means the
-// job misses; curve.Inf bounds give -Inf-like minimal slack represented
-// as -curve.Inf is not representable, so such jobs report
-// math.MinInt64+1; check IsMiss instead for verdicts.
+// Slack returns, per job, the end-to-end deadline minus the computed
+// worst-case response bound. Negative slack means the job misses. A job
+// whose bound is curve.Inf (never certified to complete) has no finite
+// slack and reports -curve.Inf+1 = math.MinInt64+2, below every finite
+// slack; use Schedulable for verdicts.
 func Slack(sys *model.System, v Verdict) ([]model.Ticks, error) {
 	wcrt, err := v(sys)
 	if err != nil {

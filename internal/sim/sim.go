@@ -204,8 +204,11 @@ type Options struct {
 	// Exec overrides per-instance execution times (see ExecTimes); nil
 	// means full WCET everywhere.
 	Exec ExecTimes
-	// TieBreak randomizes the FCFS simultaneous-arrival order (see
-	// RunWithTieBreak); nil keeps the deterministic order.
+	// TieBreak orders instances arriving at the same instant on a FCFS
+	// processor by these per-instance keys instead of the deterministic
+	// (job, hop, idx) order; nil keeps the deterministic order. The paper
+	// notes FCFS "arbitrarily picks" among simultaneous arrivals, and the
+	// analysis bounds must dominate every choice.
 	TieBreak func(job, hop, idx int) int64
 }
 
@@ -246,23 +249,6 @@ func mustRun(sys *model.System, opts Options) *Result {
 // finishing early can make another instance finish later (see the
 // sustainability tests). nil means full WCET everywhere.
 type ExecTimes func(job, hop, idx int) model.Ticks
-
-// RunWithExec is Run with per-instance actual execution times. Like Run
-// it panics on invalid input (including an out-of-range override); use
-// RunOpts for the error-returning form.
-func RunWithExec(sys *model.System, exec ExecTimes) *Result {
-	return mustRun(sys, Options{Exec: exec})
-}
-
-// RunWithTieBreak is Run with a randomized FCFS tie-break: instances
-// arriving at the same instant on a FCFS processor are ordered by the
-// given per-instance random keys instead of the deterministic (job, hop,
-// idx) order. The paper notes FCFS "arbitrarily picks" among simultaneous
-// arrivals; the analysis bounds must dominate every choice, and the
-// property tests drive this entry point to check exactly that.
-func RunWithTieBreak(sys *model.System, tieKey func(job, hop, idx int) int64) *Result {
-	return mustRun(sys, Options{TieBreak: tieKey})
-}
 
 // run is the event loop proper; the system was validated by RunOpts.
 func run(ctx context.Context, sys *model.System, exec ExecTimes, tieKey func(job, hop, idx int) int64) (*Result, error) {

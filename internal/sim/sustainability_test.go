@@ -10,6 +10,16 @@ import (
 	"rta/internal/spp"
 )
 
+// runExec simulates sys with per-instance actual execution times.
+func runExec(t *testing.T, sys *model.System, exec ExecTimes) *Result {
+	t.Helper()
+	res, err := RunOpts(sys, Options{Exec: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSingleProcessorSustainable: on one preemptive processor, shortening
 // execution times never increases any response beyond the WCET schedule's
 // (preemptive uniprocessor fixed-priority scheduling is sustainable in
@@ -22,7 +32,7 @@ func TestSingleProcessorSustainable(t *testing.T) {
 		cfg.MaxProcsPerStage = 1
 		sys := randsys.New(r, cfg)
 		full := Run(sys)
-		short := RunWithExec(sys, func(k, j, i int) model.Ticks {
+		short := runExec(t, sys, func(k, j, i int) model.Ticks {
 			e := sys.Jobs[k].Subjobs[j].Exec
 			return 1 + model.Ticks(r.Intn(int(e)))
 		})
@@ -52,7 +62,7 @@ func TestDistributedNotSustainable(t *testing.T) {
 		sys := randsys.New(r, cfg)
 		full := Run(sys)
 		for rep := 0; rep < 4 && !found; rep++ {
-			short := RunWithExec(sys, func(k, j, i int) model.Ticks {
+			short := runExec(t, sys, func(k, j, i int) model.Ticks {
 				e := sys.Jobs[k].Subjobs[j].Exec
 				return 1 + model.Ticks(r.Intn(int(e)))
 			})
@@ -70,7 +80,7 @@ func TestDistributedNotSustainable(t *testing.T) {
 	}
 }
 
-// TestExecOverrideValidated: out-of-range overrides panic.
+// TestExecOverrideValidated: out-of-range overrides are rejected.
 func TestExecOverrideValidated(t *testing.T) {
 	sys := &model.System{
 		Procs: []model.Processor{{Sched: model.SPP}},
@@ -78,12 +88,9 @@ func TestExecOverrideValidated(t *testing.T) {
 			Subjobs:  []model.Subjob{{Proc: 0, Exec: 5}},
 			Releases: []model.Ticks{0}}},
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for exec override above WCET")
-		}
-	}()
-	RunWithExec(sys, func(k, j, i int) model.Ticks { return 6 })
+	if _, err := RunOpts(sys, Options{Exec: func(k, j, i int) model.Ticks { return 6 }}); err == nil {
+		t.Fatal("expected an error for exec override above WCET")
+	}
 }
 
 // TestWCETBoundHoldsForChainsWithSlackArrival: the practical takeaway -
@@ -101,7 +108,7 @@ func TestWCETBoundHoldsForChainsWithSlackArrival(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		short := RunWithExec(sys, func(k, j, i int) model.Ticks {
+		short := runExec(t, sys, func(k, j, i int) model.Ticks {
 			e := sys.Jobs[k].Subjobs[j].Exec
 			return 1 + model.Ticks(r.Intn(int(e)))
 		})

@@ -30,18 +30,14 @@ type Interference struct {
 	Lo, Hi *curve.Curve
 }
 
-// Bounds computes the (lower, upper) service bounds for one subjob.
+// BoundsIn computes the (lower, upper) service bounds for one subjob.
 //
 // blocking is b_{k,j} of Equation (15) (zero on preemptive processors);
 // interf are the bounds of all strictly higher-priority subjobs on the
 // processor; demandLo/demandHi are the workload staircases built from the
-// subjob's latest respectively earliest possible arrival times.
-func Bounds(blocking model.Ticks, interf []Interference, demandLo, demandHi *curve.Curve) (lo, hi *curve.Curve) {
-	return BoundsIn(nil, blocking, interf, demandLo, demandHi)
-}
-
-// BoundsIn is Bounds with the transform intermediates carved from sc
-// (nil = heap); the returned bounds are always heap-backed.
+// subjob's latest respectively earliest possible arrival times. The
+// transform intermediates are carved from sc (nil = heap); the returned
+// bounds are always heap-backed.
 func BoundsIn(sc *curve.Scratch, blocking model.Ticks, interf []Interference, demandLo, demandHi *curve.Curve) (lo, hi *curve.Curve) {
 	interfLo := make([]*curve.Curve, len(interf))
 	interfHi := make([]*curve.Curve, len(interf))
@@ -54,12 +50,12 @@ func BoundsIn(sc *curve.Scratch, blocking model.Ticks, interf []Interference, de
 	return lo, hi
 }
 
-// BoundsFromInterference is Bounds taking a precomputed interference
+// BoundsFromInterference is BoundsIn taking a precomputed interference
 // bundle instead of the per-subjob list: the engines memoize one bundle
 // per priority-prefix (sched.Memo), so the k-way interference merges and
 // running maxima of Theorems 5 and 6 are derived once and shared by every
 // subjob of the prefix. Exact integer sums and unique canonical curve
-// representations make the results bit-identical to Bounds over the
+// representations make the results bit-identical to BoundsIn over the
 // individual curves. The returned bounds are heap-backed.
 func BoundsFromInterference(sc *curve.Scratch, blocking model.Ticks, ni *curve.NPInterference, demandLo, demandHi *curve.Curve) (lo, hi *curve.Curve) {
 	lo = ni.LowerServiceNP(sc, blocking, demandLo)

@@ -27,7 +27,7 @@ func chainBounds(arr [][]model.Ticks, exec []model.Ticks, blocking model.Ticks) 
 	var interf []spnp.Interference
 	for s := range arr {
 		demand := curve.Staircase(arr[s], curve.Value(exec[s]))
-		lo, hi := spnp.Bounds(blocking, interf, demand, demand)
+		lo, hi := spnp.BoundsIn(nil, blocking, interf, demand, demand)
 		los = append(los, lo)
 		his = append(his, hi)
 		interf = append(interf, spnp.Interference{Lo: lo, Hi: hi})
@@ -77,7 +77,7 @@ func TestZeroInterferenceIdentity(t *testing.T) {
 		arr := randTrace(r, 1+r.Intn(8), 50)
 		exec := model.Ticks(1 + r.Intn(5))
 		demand := curve.Staircase(arr, curve.Value(exec))
-		lo, _ := spnp.Bounds(0, nil, demand, demand)
+		lo, _ := spnp.BoundsIn(nil, 0, nil, demand, demand)
 		late := lo.CompletionTimes(curve.Value(exec), len(arr))
 		c := model.Ticks(0)
 		for i, a := range arr {
@@ -141,9 +141,9 @@ func TestInterferenceMonotone(t *testing.T) {
 		hiExec := model.Ticks(1 + r.Intn(4))
 		demand := curve.Staircase(own, curve.Value(exec))
 		hiDemand := curve.Staircase(hiArr, curve.Value(hiExec))
-		hlo, hhi := spnp.Bounds(0, nil, hiDemand, hiDemand)
-		loAlone, hiAlone := spnp.Bounds(0, nil, demand, demand)
-		loWith, hiWith := spnp.Bounds(0, []spnp.Interference{{Lo: hlo, Hi: hhi}}, demand, demand)
+		hlo, hhi := spnp.BoundsIn(nil, 0, nil, hiDemand, hiDemand)
+		loAlone, hiAlone := spnp.BoundsIn(nil, 0, nil, demand, demand)
+		loWith, hiWith := spnp.BoundsIn(nil, 0, []spnp.Interference{{Lo: hlo, Hi: hhi}}, demand, demand)
 		for x := model.Ticks(0); x < 200; x++ {
 			if loWith.Eval(x) > loAlone.Eval(x) {
 				t.Fatalf("trial %d: interference raised the lower bound at t=%d", trial, x)

@@ -1,8 +1,7 @@
 // Package stats provides the deterministic randomness and the small
 // statistical toolkit the experiment harness needs: seeded generator
-// construction, the distributions of Section 5 (uniform, exponential,
-// shifted exponential), and admission-probability estimation with
-// binomial confidence intervals.
+// construction, admission-probability estimation with binomial confidence
+// intervals, and running min/mean/max summaries.
 package stats
 
 import (
@@ -20,24 +19,6 @@ func NewRand(seed int64, stream int64) *rand.Rand {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
 	return rand.New(rand.NewSource(int64(z)))
-}
-
-// Uniform draws from U(lo, hi).
-func Uniform(r *rand.Rand, lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
-// Exponential draws from Exp with the given mean.
-func Exponential(r *rand.Rand, mean float64) float64 {
-	return r.ExpFloat64() * mean
-}
-
-// ShiftedExponential draws offset + Exp(scale): mean offset+scale,
-// standard deviation scale. The harness uses it for Figure 4's deadline
-// distribution, where the mean and the variance must vary independently
-// (a plain exponential ties variance to mean^2); see EXPERIMENTS.md.
-func ShiftedExponential(r *rand.Rand, offset, scale float64) float64 {
-	return offset + r.ExpFloat64()*scale
 }
 
 // Proportion is a Bernoulli estimate: successes out of trials.
@@ -81,11 +62,10 @@ func (p Proportion) Wilson(z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Summary accumulates mean and variance online (Welford).
+// Summary accumulates the running minimum, mean and maximum.
 type Summary struct {
 	N    int
 	mean float64
-	m2   float64
 	Min  float64
 	Max  float64
 }
@@ -102,21 +82,8 @@ func (s *Summary) Add(x float64) {
 		s.Max = x
 	}
 	s.N++
-	d := x - s.mean
-	s.mean += d / float64(s.N)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.N)
 }
 
 // Mean returns the sample mean.
 func (s Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance.
-func (s Summary) Var() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.N-1)
-}
-
-// Std returns the sample standard deviation.
-func (s Summary) Std() float64 { return math.Sqrt(s.Var()) }
