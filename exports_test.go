@@ -28,8 +28,10 @@ var testOnlyExports = map[string]string{
 // tests, either as pkg.Name from another package (the module, its commands
 // and examples, and the bench/ module) or as a bare identifier in its own
 // package. Selector names do not count: res.WorstResponse is not a use of
-// search.WorstResponse. No type checker is involved, so methods are not
-// covered.
+// search.WorstResponse. Every unexported top-level function, in any
+// package, must likewise be referenced by its own package's non-test files;
+// a helper only tests need belongs in a _test.go file. No type checker is
+// involved, so methods are not covered.
 func TestNoUncalledExports(t *testing.T) {
 	type file struct {
 		dir string
@@ -66,6 +68,7 @@ func TestNoUncalledExports(t *testing.T) {
 
 	type export struct{ dir, name string }
 	declared := map[export]bool{}
+	declaredLocal := map[export]bool{} // unexported, any package
 	used := map[export]bool{}
 	for _, fl := range files {
 		// Local import name -> directory of the imported package.
@@ -91,8 +94,14 @@ func TestNoUncalledExports(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				skip[n.Name] = true
-				if n.Recv == nil && n.Name.IsExported() && strings.HasPrefix(fl.dir, "internal/") {
-					declared[export{fl.dir, n.Name.Name}] = true
+				switch name := n.Name.Name; {
+				case n.Recv != nil:
+				case n.Name.IsExported():
+					if strings.HasPrefix(fl.dir, "internal/") {
+						declared[export{fl.dir, name}] = true
+					}
+				case name != "main" && name != "init" && name != "_":
+					declaredLocal[export{fl.dir, name}] = true
 				}
 			case *ast.SelectorExpr:
 				skip[n.Sel] = true
@@ -129,6 +138,17 @@ func TestNoUncalledExports(t *testing.T) {
 	sort.Strings(uncalled)
 	for _, u := range uncalled {
 		t.Errorf("%s is exported but nothing outside tests calls it: delete it, or add it to testOnlyExports with a reason", u)
+	}
+
+	var unreferenced []string
+	for e := range declaredLocal {
+		if !used[e] {
+			unreferenced = append(unreferenced, e.dir+"."+e.name)
+		}
+	}
+	sort.Strings(unreferenced)
+	for _, u := range unreferenced {
+		t.Errorf("%s is unexported and nothing in its package outside tests references it: delete it, or move it into a _test.go file", u)
 	}
 
 	// An allow-list entry must still name an exported function that only

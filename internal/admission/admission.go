@@ -281,15 +281,6 @@ func (c *Controller) admitSynthesized(job model.Job) (bool, error) {
 	return c.settle(nil, true)
 }
 
-// Remove drops a job by name and reports whether it was present and
-// removed. It is a compatibility wrapper over RemoveErr that conflates
-// "not present" with "removal failed"; callers that must distinguish (a
-// resident service returning 404 vs 500) use RemoveErr.
-func (c *Controller) Remove(name string) bool {
-	ok, err := c.RemoveErr(name)
-	return ok && err == nil
-}
-
 // RemoveErr drops a job by name. The bool reports whether the job was
 // present; a non-nil error means the removal could not be applied and the
 // admitted set is unchanged — every failure path (a session removal

@@ -85,14 +85,14 @@ func TestRemoveFreesCapacity(t *testing.T) {
 	if ok, _ := c.Request(rejected); ok {
 		t.Fatal("expected rejection at saturation")
 	}
-	if !c.Remove(names[len(names)-1]) {
-		t.Fatal("Remove failed")
+	if ok, err := c.RemoveErr(names[len(names)-1]); err != nil || !ok {
+		t.Fatalf("RemoveErr = %v, %v; want removed", ok, err)
 	}
 	if ok, _ := c.Request(rejected); !ok {
 		t.Fatal("removal should free capacity for an identical job")
 	}
-	if c.Remove("nope") {
-		t.Fatal("Remove of unknown job reported true")
+	if ok, err := c.RemoveErr("nope"); ok || err != nil {
+		t.Fatalf("RemoveErr of unknown job = %v, %v; want false, nil", ok, err)
 	}
 }
 
@@ -244,7 +244,9 @@ func TestConcurrentBounds(t *testing.T) {
 		if ok, err := c.Request(job(name, 200, 3, 1+i%4, 0, 60)); err != nil && err != ErrDuplicate {
 			t.Fatalf("Request: %v", err)
 		} else if ok && i%2 == 1 {
-			c.Remove(name)
+			if _, err := c.RemoveErr(name); err != nil {
+				t.Fatalf("RemoveErr: %v", err)
+			}
 		}
 	}
 	close(stop)
@@ -334,24 +336,25 @@ func TestRemoveErrRollsBackFailedSessionRemove(t *testing.T) {
 	}
 }
 
-// TestRemoveCompatWrapper pins the wrapper semantics: true only when the
-// job was present and the removal applied.
-func TestRemoveCompatWrapper(t *testing.T) {
+// TestRemoveErrAbsentVsFailed pins what RemoveErr tells apart: an absent
+// job is (false, nil), a failed removal (true, err), and only a present
+// job whose removal applied is (true, nil).
+func TestRemoveErrAbsentVsFailed(t *testing.T) {
 	c := New(twoProcs(model.SPP), DeadlineMonotonic)
 	if ok, err := c.Request(job("a", 100, 2, 0, 0, 200)); err != nil || !ok {
 		t.Fatalf("seed admit: ok=%v err=%v", ok, err)
 	}
-	if c.Remove("nope") {
-		t.Fatal("Remove of an absent job reported true")
+	if ok, err := c.RemoveErr("nope"); ok || err != nil {
+		t.Fatalf("RemoveErr of an absent job = %v, %v; want false, nil", ok, err)
 	}
 	testHookAssign = func() error { return fmt.Errorf("boom") }
-	removed := c.Remove("a")
+	present, err := c.RemoveErr("a")
 	testHookAssign = nil
-	if removed {
-		t.Fatal("Remove reported true for a failed removal")
+	if !present || err == nil {
+		t.Fatalf("failed removal = %v, %v; want present with an error", present, err)
 	}
-	if !c.Remove("a") {
-		t.Fatal("Remove failed after the injection was cleared")
+	if ok, err := c.RemoveErr("a"); err != nil || !ok {
+		t.Fatalf("RemoveErr after the injection was cleared = %v, %v; want removed", ok, err)
 	}
 }
 

@@ -24,7 +24,9 @@ func Example() {
 		}
 		fmt.Println(j.Name, ok)
 	}
-	c.Remove("b")
+	if _, err := c.RemoveErr("b"); err != nil {
+		panic(err)
+	}
 	ok, _ := c.Request(mk("d", 18, 6))
 	fmt.Println("after removing b, d:", ok)
 	// Output:

@@ -1,6 +1,6 @@
-// Package benchsys builds the deterministic large systems shared by the
-// package benchmarks and the rta-bench command, so the tracked
-// performance numbers always measure the same workload.
+// Package benchsys builds the deterministic 50x8 job shop that the
+// large-system benchmarks of internal/analysis, internal/admission and
+// internal/serve, and the serve-large workload of bench/, all measure.
 package benchsys
 
 import "rta/internal/model"
@@ -46,34 +46,6 @@ func Large(jobs, hops, instances int, sched model.Scheduler) *model.System {
 			}
 		}
 		sys.Jobs = append(sys.Jobs, job)
-	}
-	return sys
-}
-
-// LargeForkJoin is Large with every chain folded into a deterministic
-// fork-join DAG: hops pair up into parallel diamond rungs (hop 0 forks
-// to hops 1 and 2, which join into hop 3, which forks again, ...), with
-// a trailing chain hop when the count doesn't divide. Same processors,
-// execution times, priorities, and release traces as Large, so the pair
-// isolates the cost of DAG bookkeeping against the chain baseline.
-func LargeForkJoin(jobs, hops, instances int, sched model.Scheduler) *model.System {
-	sys := Large(jobs, hops, instances, sched)
-	for k := range sys.Jobs {
-		job := &sys.Jobs[k]
-		prec := make([][]int, len(job.Subjobs))
-		j := 1
-		for j+1 < len(job.Subjobs) {
-			prec[j] = []int{j - 1}
-			prec[j+1] = []int{j - 1}
-			if j+2 < len(job.Subjobs) {
-				prec[j+2] = []int{j, j + 1}
-			}
-			j += 3
-		}
-		for ; j < len(job.Subjobs); j++ {
-			prec[j] = []int{j - 1}
-		}
-		job.Precedence = prec
 	}
 	return sys
 }

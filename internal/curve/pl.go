@@ -166,10 +166,6 @@ func (c *evalCursor) left(t Time) Value {
 	return c.right(t)
 }
 
-// canon normalises a list of points produced by an operation into a
-// canonical heap-backed pl; see canonIn.
-func canon(pts []Point, tail int64) pl { return canonIn(nil, pts, tail) }
-
 // canonIn normalises a list of points produced by an operation: it
 // collapses redundant points at equal X (keeping only first and last),
 // drops interior collinear points and returns a canonical pl. The tail
@@ -302,14 +298,6 @@ type sumScratch struct {
 }
 
 var sumPool = sync.Pool{New: func() any { return new(sumScratch) }}
-
-// sumPL returns the pointwise sum of the fs; see sumIn.
-func sumPL(fs []pl) pl {
-	if len(fs) == 1 {
-		return fs[0] // pls are immutable; sharing is safe
-	}
-	return sumIn(nil, 0, 0, fs, nil)
-}
 
 // sumIn returns y0 + slope*t + sum(plus) - sum(minus) in a single k-way
 // signed linear merge: one left-to-right sweep over the union of all

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// canon normalises a list of points produced by an operation into a
+// canonical heap-backed pl; see canonIn.
+func canon(pts []Point, tail int64) pl { return canonIn(nil, pts, tail) }
+
+// sumPL returns the pointwise sum of the fs; see sumIn.
+func sumPL(fs []pl) pl {
+	if len(fs) == 1 {
+		return fs[0] // pls are immutable; sharing is safe
+	}
+	return sumIn(nil, 0, 0, fs, nil)
+}
+
 // randPL builds a random general pl with slopes in {-1,0,1} and jumps in
 // both directions.
 func randPL(r *rand.Rand, segs int) pl {

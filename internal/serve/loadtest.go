@@ -45,7 +45,7 @@ type LoadConfig struct {
 	BurstSize int `json:"burst_size"`
 }
 
-// DefaultLoad is the committed-benchmark configuration.
+// DefaultLoad is the default traffic of rta-serve -loadtest.
 var DefaultLoad = LoadConfig{
 	Seed:          1,
 	Tenants:       4,
@@ -393,8 +393,7 @@ func (d *tenantDriver) do(ctx context.Context, method, path string, body []byte,
 
 // RunLocalLoad starts an in-process server configured by cfg on a
 // loopback port, drives it with lcfg, and tears the server down. This is
-// the self-contained load-test path shared by `rta-serve -loadtest` and
-// the committed rta-bench serve section.
+// the self-contained load-test path of `rta-serve -loadtest`.
 func RunLocalLoad(ctx context.Context, cfg Config, lcfg LoadConfig) (*LoadResult, error) {
 	s := New(cfg)
 	defer s.Close()

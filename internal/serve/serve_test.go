@@ -359,9 +359,11 @@ func TestServerConcurrentTenants(t *testing.T) {
 	}
 }
 
+// TestRunLoadRoundTrip drives a server under each overload policy with
+// bursty traffic and requires the load test's shape: admissions granted
+// and no errored request. The token-bucket case goes through
+// RunLocalLoad, the self-contained path of rta-serve -loadtest.
 func TestRunLoadRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{Policy: admission.DeadlineMonotonic})
-
 	cfg := LoadConfig{
 		Seed:          7,
 		Tenants:       2,
@@ -371,24 +373,43 @@ func TestRunLoadRoundTrip(t *testing.T) {
 		PoolJobs:      6,
 		BurstSize:     3,
 	}
-	res, err := RunLoad(context.Background(), cfg, ts.URL, "always-admit", nil)
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if res.Offered == 0 || res.Admits == 0 {
-		t.Fatalf("result = %+v, want offered and admitted traffic", res)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("result has %d errors, samples %v", res.Errors, res.ErrorSamples)
-	}
-	if res.Sheds != 0 || res.ShedRate != 0 {
-		t.Fatalf("always-admit run shed %d requests", res.Sheds)
-	}
-	if res.DecisionP99Ms < res.DecisionP50Ms || res.Throughput <= 0 {
-		t.Fatalf("result quantiles inconsistent: %+v", res)
-	}
-	if res.Policy != "always-admit" {
-		t.Fatalf("policy label = %q", res.Policy)
+	for _, tc := range []struct {
+		name     string
+		overload Overload
+		local    bool
+	}{
+		{"always-admit", AlwaysAdmit{}, false},
+		{"token-bucket", NewTokenBucket(64, 200), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scfg := Config{Policy: admission.DeadlineMonotonic, Overload: tc.overload}
+			var res *LoadResult
+			var err error
+			if tc.local {
+				res, err = RunLocalLoad(context.Background(), scfg, cfg)
+			} else {
+				_, ts := newTestServer(t, scfg)
+				res, err = RunLoad(context.Background(), cfg, ts.URL, tc.overload.Name(), nil)
+			}
+			if err != nil {
+				t.Fatalf("load test: %v", err)
+			}
+			if res.Offered == 0 || res.Admits == 0 {
+				t.Fatalf("result = %+v, want offered and admitted traffic", res)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("result has %d errors, samples %v", res.Errors, res.ErrorSamples)
+			}
+			if _, always := tc.overload.(AlwaysAdmit); always && (res.Sheds != 0 || res.ShedRate != 0) {
+				t.Fatalf("always-admit run shed %d requests", res.Sheds)
+			}
+			if res.DecisionP99Ms < res.DecisionP50Ms || res.Throughput <= 0 {
+				t.Fatalf("result quantiles inconsistent: %+v", res)
+			}
+			if res.Policy != tc.overload.Name() {
+				t.Fatalf("policy label = %q, want %q", res.Policy, tc.overload.Name())
+			}
+		})
 	}
 }
 
